@@ -52,7 +52,9 @@ SKIP_ARRAYS = {"policies", "fault_policies", "pareto", "availability_pareto",
 # the 1e-6 rounding step but far below any real dominance margin).
 REL_EPS = 1e-5
 
-SOA_MAX_RATIO = 1.25  # mirrored from bench_fleet.cpp
+# Max 1-thread fleet / serial loop wall time (soa_no_regression; the key
+# names predate the per-node engine). Mirrored from bench_fleet.cpp.
+SOA_MAX_RATIO = 1.25
 
 
 def fleet_required_speedup(effective_threads):

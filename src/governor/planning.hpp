@@ -22,7 +22,7 @@
 //
 // The planner keeps NO mutable plan state: choose()/predict_next() are
 // pure functions of the frame context and the (immutable) forecast, so one
-// instance is safely shared across a MissionBatch's worker threads, and
+// instance is safely shared by concurrent simulate_mission calls, and
 // plan invalidation on a brownout reset is by construction — the engine
 // resets the wake state and rung preference (emitting a
 // `plan_invalidate` trace instant), and the next choose() replans from

@@ -40,55 +40,12 @@
 // Specs that use none of these reproduce the v1 engine bit for bit.
 #pragma once
 
-#include <cstddef>
-#include <memory>
-
 #include "obs/sink.hpp"
 #include "scenario/mission.hpp"
 #include "scenario/policy.hpp"
 #include "sim/mcu.hpp"
 
 namespace daedvfs::scenario {
-
-/// Structure-of-arrays mission batch: the slot loop's per-node state
-/// (battery, backlog ring, pre-lock, jitter/fault RNG streams, event
-/// cursors) lives in flat arrays indexed by node, so thousands of concurrent
-/// missions stay cache-resident instead of scattering a deque plus a dozen
-/// heap blocks per mission across the allocator. One batch shares one
-/// policy/ladder (read-only) and one sim parameterization across all its
-/// nodes — the fleet layer (scenario/fleet.hpp) builds one batch per worker
-/// chunk; the scalar `simulate_mission` below is exactly the N=1 case, so
-/// batched and standalone reports are bit-identical by construction (pinned
-/// by the golden report, the 200-seed fuzz digests, and test_fleet.cpp).
-///
-/// Usage: add() every node, then run() each node exactly once. Threading:
-/// distinct nodes touch disjoint array slots, so different nodes may run
-/// concurrently from different threads once all add() calls are done; the
-/// policy is only read (attach no obs sink to a shared LadderPolicy while
-/// batches run in parallel — its counters are not atomic).
-class MissionBatch {
- public:
-  /// `policy` is borrowed for the batch's lifetime; `sim` is copied.
-  MissionBatch(const SchedulePolicy& policy, double t_base_us,
-               const sim::SimParams& sim);
-  ~MissionBatch();
-  MissionBatch(const MissionBatch&) = delete;
-  MissionBatch& operator=(const MissionBatch&) = delete;
-
-  /// Registers one node and initializes its state slot. `spec` is borrowed
-  /// and must outlive the batch. Returns the node index.
-  std::size_t add(const MissionSpec& spec);
-  [[nodiscard]] std::size_t size() const;
-
-  /// Simulates node `node` to completion and returns its report —
-  /// bit-identical to simulate_mission on the same spec. Consumes the
-  /// node's state: each node runs exactly once.
-  [[nodiscard]] MissionReport run(std::size_t node, obs::Sink* sink = nullptr);
-
- private:
-  struct Block;  ///< The SoA state arrays (engine.cpp).
-  std::unique_ptr<Block> b_;
-};
 
 /// Runs `spec` against `policy`. `t_base_us` is the TinyEngine-at-216 MHz
 /// reference latency that converts QoS slacks into absolute deadlines
@@ -101,6 +58,10 @@ class MissionBatch {
 /// (obs::MetricsRegistry). Recording is purely observational: the report is
 /// bit-identical with and without a sink, and an enabled trace is itself
 /// byte-identical across runs and kernel backends (fuzz-harness pinned).
+///
+/// Threading: concurrent calls may share one `policy` — it is only read.
+/// Attach no obs sink to a LadderPolicy shared across threads; its counters
+/// are not atomic.
 [[nodiscard]] MissionReport simulate_mission(const MissionSpec& spec,
                                              const SchedulePolicy& policy,
                                              double t_base_us,

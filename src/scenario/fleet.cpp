@@ -139,11 +139,10 @@ FleetReport simulate_fleet(const FleetSpec& fleet, const FleetOptions& opts) {
   }
   if (n == 0) return report;
 
-  // ---- Fan-out. Chunks are deterministic index ranges; each chunk derives
-  // its nodes' specs locally and runs them through one MissionBatch per
-  // contiguous same-class run (one flat SoA block, one shared ladder).
-  // Reports land in preassigned slots — nothing downstream depends on
-  // which thread ran which chunk. Per-node runs get no sink: obs
+  // ---- Fan-out. Chunks are deterministic index ranges; each node derives
+  // its spec and runs standalone simulate_mission against its class's
+  // shared ladder. Reports land in preassigned slots — nothing downstream
+  // depends on which thread ran which chunk. Per-node runs get no sink: obs
   // registries are not thread-safe, and fleet.* aggregates are published
   // once below, after the barrier.
   std::vector<MissionReport> reports(n);
@@ -152,28 +151,12 @@ FleetReport simulate_fleet(const FleetSpec& fleet, const FleetOptions& opts) {
   pool.parallel_for(
       static_cast<std::int64_t>(n), std::max<std::int64_t>(opts.chunk, 1),
       [&](std::int64_t begin, std::int64_t end) {
-        std::int64_t run_begin = begin;
-        while (run_begin < end) {
-          const std::size_t c = class_of[static_cast<std::size_t>(run_begin)];
-          std::int64_t run_end = run_begin + 1;
-          while (run_end < end &&
-                 class_of[static_cast<std::size_t>(run_end)] == c) {
-            ++run_end;
-          }
-          const DeviceClass& dc = fleet.classes[c];
-          std::vector<MissionSpec> specs;
-          specs.reserve(static_cast<std::size_t>(run_end - run_begin));
-          for (std::int64_t i = run_begin; i < run_end; ++i) {
-            specs.push_back(derive_node_spec(
-                fleet, c, static_cast<std::uint64_t>(i)));
-          }
-          MissionBatch batch(*dc.policy, dc.t_base_us, dc.sim);
-          for (const MissionSpec& s : specs) batch.add(s);
-          for (std::int64_t i = run_begin; i < run_end; ++i) {
-            reports[static_cast<std::size_t>(i)] = batch.run(
-                static_cast<std::size_t>(i - run_begin));
-          }
-          run_begin = run_end;
+        for (std::int64_t i = begin; i < end; ++i) {
+          const auto node = static_cast<std::size_t>(i);
+          const DeviceClass& dc = fleet.classes[class_of[node]];
+          reports[node] = simulate_mission(
+              derive_node_spec(fleet, class_of[node], node), *dc.policy,
+              dc.t_base_us, dc.sim);
         }
       });
 

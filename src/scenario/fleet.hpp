@@ -1,7 +1,7 @@
 // Fleet-scale mission simulation: expands a handful of device-class base
-// missions into thousands of seeded per-node variants, fans them out across
-// util::ThreadPool on top of the structure-of-arrays MissionBatch engine
-// (scenario/engine.hpp), and aggregates the per-node MissionReports into a
+// missions into thousands of seeded per-node variants, fans their
+// simulate_mission runs (scenario/engine.hpp) out across util::ThreadPool,
+// and aggregates the per-node MissionReports into a
 // FleetReport — energy/lateness/availability distributions with exact
 // (nearest-rank) percentiles, per-class breakdowns, a fleet survival curve
 // over mission time, and a fleet-level (energy, availability) Pareto front
@@ -17,8 +17,8 @@
 // byte-identical across thread counts and across runs; no wall-clock
 // quantity is ever part of it (missions/sec and friends go to
 // obs::MetricsRegistry instead). Per-node reports are bit-identical to
-// standalone simulate_mission on the same derived spec — the batch engine
-// is the scalar engine with the state laid out flat (test_fleet.cpp).
+// standalone simulate_mission on the same derived spec — each node is one
+// such call (test_fleet.cpp).
 //
 // Sharing: all nodes of a class read one precomputed governor ladder
 // (SchedulePolicy is const during simulation), and build_fleet_ladders
@@ -178,8 +178,7 @@ struct FleetOptions {
   /// (DAEDVFS_THREADS, then hardware concurrency). The calling thread
   /// participates, so `threads` is the total parallelism.
   int threads = 0;
-  /// Nodes per parallel_for chunk — each chunk builds one MissionBatch per
-  /// contiguous same-class run, so its nodes share flat SoA state.
+  /// Nodes per parallel_for chunk (the unit of work a pool thread claims).
   std::int64_t chunk = 16;
   /// Sample count of the survival curve (evenly spaced over the longest
   /// class horizon).

@@ -1,8 +1,7 @@
 // Fleet-layer determinism contract (scenario/fleet.hpp): the FleetReport
 // JSON is byte-identical across thread counts and runs, per-node reports
 // are bit-identical to standalone simulate_mission on the same derived
-// spec, the SoA MissionBatch reproduces the scalar engine bit for bit on
-// fuzzed specs, and the shared ProfileCache counters stay coherent under
+// spec, and the shared ProfileCache counters stay coherent under
 // concurrent readers (run this under TSan to pin the data-race fix).
 #include <gtest/gtest.h>
 
@@ -137,28 +136,6 @@ TEST(Fleet, PerNodeReportsEqualStandaloneSimulateMission) {
           << "node " << node_id << " diverged from standalone engine";
       check_mission_invariants(spec, per_node[node_id]);
     }
-  }
-}
-
-TEST(Fleet, BatchEngineMatchesScalarEngineOnFuzzedSpecs) {
-  const LadderPolicy ladder = make_synthetic_ladder(true, true);
-  const sim::SimParams sim;
-  SpecFeatures features;
-  features.faults = true;
-  std::vector<MissionSpec> specs;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    specs.push_back(random_mission_spec(seed, features));
-    specs.back().horizon_s = std::min(specs.back().horizon_s, 3600.0);
-  }
-  MissionBatch batch(ladder, kSyntheticTBase, sim);
-  for (const MissionSpec& s : specs) batch.add(s);
-  ASSERT_EQ(batch.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const MissionReport batched = batch.run(i);
-    const MissionReport scalar =
-        simulate_mission(specs[i], ladder, kSyntheticTBase, sim);
-    EXPECT_EQ(report_json(batched), report_json(scalar))
-        << "spec seed " << (i + 1);
   }
 }
 

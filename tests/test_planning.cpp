@@ -16,8 +16,9 @@
 //       checkpoint restore), a window closing before the planned drain,
 //       depletion during a planned pre-spend — stay deterministic and
 //       invariant-clean;
-//   (e) one shared stateless planner serves a whole MissionBatch from
-//       concurrent threads (the ThreadSanitizer job runs this suite).
+//   (e) one shared stateless planner serves concurrent simulate_mission
+//       calls from several threads (the ThreadSanitizer job runs this
+//       suite).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -368,20 +369,18 @@ TEST(Planning, SharedPlannerAcrossBatchThreads) {
     specs.push_back(random_mission_spec(seed, features));
     specs.back().horizon_s = std::min(specs.back().horizon_s, 7200.0);
   }
-  // One forecast for the whole fleet (the planner is shared, so its view
-  // of the future is too — per-node distortion would need per-node
-  // policies, which is the fleet layer's business, not the batch's).
+  // One forecast for every node (the planner is shared, so its view of
+  // the future is too — per-node distortion would need per-node policies,
+  // which is the fleet layer's business).
   const PlanningPolicy planner =
       make_planner(6, MissionForecast::from_spec(specs[0], kTBase));
-  MissionBatch batch(planner, kTBase, sim);
-  for (const MissionSpec& s : specs) batch.add(s);
   std::vector<MissionReport> reports(specs.size());
   std::vector<std::thread> workers;
   const std::size_t kThreads = 4;
   for (std::size_t w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       for (std::size_t i = w; i < specs.size(); i += kThreads) {
-        reports[i] = batch.run(i);
+        reports[i] = simulate_mission(specs[i], planner, kTBase, sim);
       }
     });
   }

@@ -3,6 +3,8 @@
 // comparison the subsystem exists for.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "governor/governor.hpp"
 #include "scenario_test_support.hpp"
 #include "graph/builder.hpp"
@@ -415,6 +417,47 @@ TEST(ScenarioEdge, BacklogDrainsWhenTheLinkReturns) {
       << "100 blackout slots plus the live capture at the window opening";
   EXPECT_GT(r.backlog_latency_s, 0.0);
   EXPECT_EQ(r.deadline_misses, 0u);
+}
+
+TEST(ScenarioEdge, DegenerateInputsReturnAnEmptyReport) {
+  // No rungs, no deadline reference, or no duty cycle: nothing simulates.
+  // The report is the default one naming the mission and policy, with the
+  // rung histogram sized to the ladder.
+  const sim::SimParams sim;
+  const LadderPolicy ladder = synthetic_ladder(false);
+  const LadderPolicy empty({}, sim.switching, sim.power, "empty", false);
+  MissionSpec spec;
+  spec.name = "degenerate";
+  spec.horizon_s = 3600.0;
+  spec.duty.period_s = 10.0;
+  MissionSpec zero_period = spec;
+  zero_period.duty.period_s = 0.0;
+  MissionSpec negative_period = spec;
+  negative_period.duty.period_s = -10.0;
+
+  struct Case {
+    const char* what;
+    const MissionSpec& spec;
+    const SchedulePolicy& policy;
+    double t_base_us;
+  };
+  const Case cases[] = {
+      {"empty ladder", spec, empty, kTBase},
+      {"zero t_base_us", spec, ladder, 0.0},
+      {"negative t_base_us", spec, ladder, -kTBase},
+      {"zero period", zero_period, ladder, kTBase},
+      {"negative period", negative_period, ladder, kTBase},
+  };
+  for (const Case& c : cases) {
+    MissionReport want;
+    want.mission = "degenerate";
+    want.policy = c.policy.name();
+    want.frames_per_rung.assign(c.policy.rungs().size(), 0);
+    std::ostringstream want_json, got_json;
+    write_json(want_json, want);
+    write_json(got_json, simulate_mission(c.spec, c.policy, c.t_base_us, sim));
+    EXPECT_EQ(got_json.str(), want_json.str()) << c.what;
+  }
 }
 
 // ---- Energy model v2: solar harvesting + radio uplink ------------------

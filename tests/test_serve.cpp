@@ -5,6 +5,7 @@
 // the serve.* observability surface.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -161,6 +162,15 @@ TEST(Serve, QuantizationIsConservative) {
   EXPECT_EQ(server.quantize({0.1, 25.0, 0.75, 0, -1.0}).soc_band, 3);
   EXPECT_EQ(server.quantize({0.1, 25.0, 1.0, 0, -1.0}).soc_band, 3);
   EXPECT_EQ(server.quantize({0.1, 25.0, -0.5, 0, -1.0}).soc_band, 0);
+  // NaN lands in the conservative cell of each dimension.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(server.quantize({nan, 25.0, 1.0, 0, -1.0}).slack_cell, 0);
+  EXPECT_EQ(server.quantize({0.1, nan, 1.0, 0, -1.0}).temp_cell, 16);
+  EXPECT_EQ(server.quantize({0.1, 25.0, nan, 0, -1.0}).soc_band, 0);
+  // So a NaN ambient gets the hottest grid ambient's (tightest) thermal cap.
+  ScheduleServer derated(ladder(), kTBaseUs, eventful_config(), {}, 0.0);
+  EXPECT_EQ(answer_json(derated.answer({0.5, nan, 1.0, 0, -1.0})),
+            answer_json(derated.answer({0.5, 60.0, 1.0, 0, -1.0})));
 }
 
 TEST(Serve, BacklogTightensEffectiveCell) {
