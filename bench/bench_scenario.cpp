@@ -40,6 +40,13 @@
 //     availability) front AND strictly dominate the cold-boot reactive
 //     governor (more delivered frames for less energy).
 //
+//  6. Planning mission: forecast-aware pre-lock (governor/planning.hpp)
+//     plus 8-frame uplink batching must dominate-or-tie the predictive
+//     governor on both fronts above. A four-way ablation (neither lever,
+//     each alone, both) reports each lever's energy, mean lateness and
+//     pre-lock hits/misses; the forecast variant must hit no fewer
+//     pre-locks than the steady-state predictor.
+//
 //   $ ./build/bench_scenario                 # VWW + PD v2, full checks
 //   $ ./build/bench_scenario mbv2 out.json
 //   $ ./build/bench_scenario smoke           # small model, CI-fast
@@ -47,6 +54,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -468,23 +476,23 @@ int main(int argc, char** argv) {
             << (v4_warm_dominates ? "yes" : "NO") << "\n";
 
   // ---- Planning mission & the planner gates (PR 10). The PR 4 predictive
-  // governor is the baseline SYSTEM; the planner system adds (a) the MPC
-  // receding-horizon replan over the mission's own event calendar
+  // governor is the baseline SYSTEM; the planner system adds (a) forecast-
+  // aware pre-lock over the mission's own event calendar
   // (governor/planning.hpp) and (b) radio duty-cycling — 8-frame PA-ramp
   // batches priced through the same RadioModel and netted into the
-  // catch-up budget. The acceptance artifact is dominance on BOTH fronts:
-  // the harvest+radio mission's (energy, mean lateness) plane and the
+  // catch-up budget. The ablation runs the harvest+radio mission four
+  // ways — neither lever (v3_pred), each lever alone, both — so each
+  // lever's share of the gain is visible. The acceptance artifact is
+  // dominance on BOTH fronts: the (energy, mean lateness) plane and the
   // fault mission's (energy, availability) plane — at most the baseline's
   // cost on one axis and at least its quality on the other, never worse
-  // on either. The planner points get their own report sets here; the v3
-  // and v4 sections above stay exactly the PR 4-era comparisons.
-  const std::uint32_t v5_horizon = 8;
+  // on either.
   const std::uint32_t v5_batch = 8;
   scenario::MissionSpec v5 = v3;
   v5.name = "sentry-v5-planned";
   v5.radio_batch_frames = v5_batch;
   governor::PlanningConfig v5_cfg;
-  v5_cfg.horizon = v5_horizon;
+  v5_cfg.horizon = 1;  // non-zero: forecast-aware pre-lock
   v5_cfg.forecast = governor::MissionForecast::from_spec(v5, v2_tbase);
   governor::PlanningPolicy v5_planner(v2_rungs, sim.switching, sim.power,
                                       v5_cfg, "planner+forecast", true);
@@ -494,9 +502,8 @@ int main(int argc, char** argv) {
   std::vector<scenario::MissionReport> v5_reports;
   v5_reports.push_back(simulate_mission(v5, v5_planner, v2_tbase, sim));
   v5_planner.set_sink(nullptr);
-  const std::uint64_t v5_replans = v5_mx.counter("planner.replans").value();
-  const std::uint64_t v5_overrides =
-      v5_mx.counter("planner.overrides").value();
+  const std::uint64_t v5_forecast_predicts =
+      v5_mx.counter("planner.forecast_predicts").value();
   v5_reports.push_back(v3_reports[0]);  // predictive governor, per-frame tx
   v5_reports.push_back(v3_reports[1]);  // reactive governor, per-frame tx
   const scenario::MissionReport& v5_plan = v5_reports.front();
@@ -506,11 +513,31 @@ int main(int argc, char** argv) {
       v5_plan.total_uj() <= v3_pred.total_uj() &&
       v5_plan.mean_lateness_s() <= v3_pred.mean_lateness_s();
 
+  // Ablation: one lever at a time on the same mission (the per-frame
+  // forecast variant plans against the v3 calendar, which v5 shares).
+  const scenario::MissionReport v5_forecast_only =
+      simulate_mission(v3, v5_planner, v2_tbase, sim);
+  const scenario::MissionReport v5_batch_only =
+      simulate_mission(v5, v2_pred, v2_tbase, sim);
+  struct AblationRow {
+    const char* variant;
+    bool forecast_prelock;
+    std::uint32_t radio_batch_frames;
+    const scenario::MissionReport* report;
+  };
+  const AblationRow v5_ablation[] = {
+      {"v3_pred", false, 1, &v3_pred},
+      {"forecast_prelock", true, 1, &v5_forecast_only},
+      {"batching", false, v5_batch, &v5_batch_only},
+      {"forecast_prelock+batching", true, v5_batch, &v5_plan}};
+  const bool v5_forecast_hits_no_fewer =
+      v5_forecast_only.prelock_hits >= v3_pred.prelock_hits;
+
   scenario::MissionSpec v5f = v4_ckpt;
   v5f.name = "sentry-v5-faults-planned";
   v5f.radio_batch_frames = v5_batch;
   governor::PlanningConfig v5f_cfg;
-  v5f_cfg.horizon = v5_horizon;
+  v5f_cfg.horizon = 1;
   v5f_cfg.forecast = governor::MissionForecast::from_spec(v5f, v2_tbase);
   governor::PlanningPolicy v5f_planner(v2_rungs, sim.switching, sim.power,
                                        v5f_cfg, "planner+forecast", true);
@@ -525,10 +552,11 @@ int main(int argc, char** argv) {
   const bool v5_dominates_availability =
       v5f_plan.total_uj() <= v4_warm.total_uj() &&
       v5f_plan.availability() >= v4_warm.availability();
-  const bool v5_exercised =
-      v5_replans > 0 && v5_plan.radio_uj > 0.0 && v5f_plan.resets > 0;
-  std::cout << "planning mission (" << v2_model.name() << "), horizon "
-            << v5_horizon << " slots, " << v5_batch << "-frame tx batches:\n"
+  const bool v5_exercised = v5_forecast_predicts > 0 &&
+                            v5_plan.radio_uj > 0.0 && v5f_plan.resets > 0;
+  std::cout << "planning mission (" << v2_model.name()
+            << "), forecast pre-lock, " << v5_batch
+            << "-frame tx batches:\n"
             << "  lateness front:     planner " << v5_plan.total_uj() / 1e6
             << " J / " << v5_plan.mean_lateness_s() << " s vs predictive "
             << v3_pred.total_uj() / 1e6 << " J / "
@@ -539,8 +567,14 @@ int main(int argc, char** argv) {
             << v4_warm.total_uj() / 1e6 << " J / " << v4_warm.availability()
             << " — dominates=" << (v5_dominates_availability ? "yes" : "NO")
             << "\n"
-            << "  " << v5_replans << " replans, " << v5_overrides
-            << " plan overrides of the myopic pick\n";
+            << "  " << v5_forecast_predicts << " forecast pre-lock picks\n"
+            << "  ablation (energy / mean lateness / pre-lock hits+misses):\n";
+  for (const AblationRow& row : v5_ablation) {
+    std::cout << "    " << row.variant << ": " << row.report->total_uj() / 1e6
+              << " J / " << row.report->mean_lateness_s() << " s / "
+              << row.report->prelock_hits << "+"
+              << row.report->prelock_misses << "\n";
+  }
 
   // ---- Emit BENCH_scenario.json.
   std::ofstream os(out_path);
@@ -713,10 +747,25 @@ int main(int argc, char** argv) {
      << "  },\n"
      << "  \"mission_v5\": {\n"
      << "    \"model\": " << util::json_quoted(v2_model.name()) << ",\n"
-     << "    \"planner_horizon_slots\": " << v5_horizon << ",\n"
      << "    \"radio_batch_frames\": " << v5_batch << ",\n"
-     << "    \"planner_replans\": " << v5_replans << ",\n"
-     << "    \"planner_overrides\": " << v5_overrides << ",\n"
+     << "    \"planner_forecast_predicts\": " << v5_forecast_predicts
+     << ",\n"
+     << "    \"ablation\": [\n";
+  os.precision(12);  // the levers differ below the file's 6 digits
+  for (std::size_t i = 0; i < std::size(v5_ablation); ++i) {
+    const AblationRow& row = v5_ablation[i];
+    os << "      {\"variant\": " << util::json_quoted(row.variant)
+       << ", \"prelock_target\": "
+       << (row.forecast_prelock ? "\"forecast\"" : "\"steady_state\"")
+       << ", \"radio_batch_frames\": " << row.radio_batch_frames
+       << ", \"total_uj\": " << row.report->total_uj()
+       << ", \"mean_lateness_s\": " << row.report->mean_lateness_s()
+       << ", \"prelock_hits\": " << row.report->prelock_hits
+       << ", \"prelock_misses\": " << row.report->prelock_misses << "}"
+       << (i + 1 < std::size(v5_ablation) ? "," : "") << "\n";
+  }
+  os.precision(6);
+  os << "    ],\n"
      << "    \"policies\": [\n";
   for (std::size_t i = 0; i < v5_reports.size(); ++i) {
     if (i) os << ",\n";
@@ -748,6 +797,8 @@ int main(int argc, char** argv) {
      << ",\n"
      << "    \"planner_exercised\": " << util::json_bool(v5_exercised)
      << ",\n"
+     << "    \"forecast_prelock_hits_no_fewer\": "
+     << util::json_bool(v5_forecast_hits_no_fewer) << ",\n"
      << "    \"planner_dominates_lateness\": "
      << util::json_bool(v5_dominates_lateness) << ",\n"
      << "    \"planner_dominates_availability\": "
@@ -813,9 +864,16 @@ int main(int argc, char** argv) {
   }
   if (!v5_exercised) {
     std::cerr << "planner gate failed: the planning layer never engaged "
-                 "(replans " << v5_replans << ", radio "
+                 "(forecast pre-lock picks " << v5_forecast_predicts
+              << ", radio "
               << v5_plan.radio_uj << " uJ, fault resets " << v5f_plan.resets
               << ")\n";
+    ok = false;
+  }
+  if (!v5_forecast_hits_no_fewer) {
+    std::cerr << "planner gate failed: forecast pre-lock hit "
+              << v5_forecast_only.prelock_hits << " pre-locks, the "
+              << "steady-state predictor " << v3_pred.prelock_hits << "\n";
     ok = false;
   }
   if (!v5_dominates_lateness) {

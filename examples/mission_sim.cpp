@@ -6,8 +6,8 @@
 // walkthroughs: v1 duty cycle, v2 field conditions (heat soaks, uplink
 // blackouts, predictive pre-lock), v3 energy model (solar harvest + radio
 // costs), v4 faults (lossy uplink, brownout resets, checkpointed recovery),
-// v6 forecast-aware planning (horizon replay over the mission calendar,
-// duty-cycled uplink batches) — plus the optional --fleet v5 walkthrough.
+// v6 forecast-aware planning (pre-lock targets read off the mission
+// calendar, duty-cycled uplink batches) — plus the optional --fleet v5 walkthrough.
 //
 //   $ ./build/mission_sim            # VWW
 //   $ ./build/mission_sim pd 0.2     # Person Detection, low-battery SoC 0.2
@@ -396,19 +396,18 @@ int main(int argc, char** argv) {
   // ---- v6: the forecast-aware planning governor (governor/planning.hpp)
   // on the same faulted, checkpointed mission — plus duty-cycled uplinks
   // (radio_batch_frames = 8: one PA ramp amortized over eight payloads).
-  // The planner reads the mission calendar as a MissionForecast, replays
-  // the ladder rule over an 8-slot receding horizon at every decision, and
-  // pre-locks the sleep PLL for the slot the forecast says comes next
-  // instead of a frozen copy of the current one. Every reset invalidates
-  // the plan (plan_invalidate trace instant); the next choose() replans
-  // from the restored rung preference, so warm and cold reboots need no
-  // planner-specific recovery path.
+  // The planner runs the ladder's own per-frame pick, reads the mission
+  // calendar as a MissionForecast, and pre-locks the sleep PLL for the
+  // slot the forecast says comes next instead of a frozen copy of the
+  // current one. Every reset drops the pre-lock (plan_invalidate trace
+  // instant); the next choose() picks from the restored rung preference,
+  // so warm and cold reboots need no planner-specific recovery path.
   {
     scenario::MissionSpec v6 = v4_ckpt;
     v6.name = "sentry-2w-v6";
     v6.radio_batch_frames = 8;
     governor::PlanningConfig pcfg;
-    pcfg.horizon = 8;
+    pcfg.horizon = 1;  // non-zero: forecast-aware pre-lock
     pcfg.forecast = governor::MissionForecast::from_spec(v6, gov.t_base_us());
     const governor::PlanningPolicy planner(gov.rungs(), sim.switching,
                                            sim.power, pcfg,
@@ -416,7 +415,7 @@ int main(int argc, char** argv) {
     scenario::MissionReport planned =
         simulate_mission(v6, planner, gov.t_base_us(), sim);
     planned.policy += "+ckpt";
-    std::cout << "\n=== v6: + planning — 8-slot horizon replay, 8-frame tx "
+    std::cout << "\n=== v6: + planning — forecast pre-lock, 8-frame tx "
                  "batches ===\n"
               << "policy              avail   dropped  retries  txfail  "
                  "resets  energy(J)\n";
@@ -425,9 +424,9 @@ int main(int argc, char** argv) {
     std::cout << "\nReading: batching pays the PA ramp once per eight "
                  "frames ("
               << std::setprecision(1) << (warm.radio_uj - planned.radio_uj) / 1e6
-              << " J of radio\nenergy back) and the horizon replay spends "
-                 "it where the calendar says the\nnext tracking burst or "
-                 "window edge lands — same declared QoS, "
+              << " J of radio\nenergy back) and the forecast pre-locks "
+                 "the rung the calendar says the next\ntracking burst or "
+                 "window edge needs — same declared QoS, "
               << std::setprecision(4) << planned.availability()
               << "\navailability vs " << warm.availability()
               << " for the myopic checkpointed governor.\n";

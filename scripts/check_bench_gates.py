@@ -34,7 +34,11 @@ For BENCH_scenario.json it re-derives the mission_v5 planner verdicts
 raw energy / lateness / availability numbers the bench recorded, with a
 relative epsilon absorbing the artifact's 6-significant-digit rounding —
 so a hand-edited "planner dominates" boolean cannot disagree with the
-measurements next to it.
+measurements next to it. It also recomputes planner_exercised (forecast
+pre-lock picks > 0, planner radio energy > 0, fault resets > 0) and
+forecast_prelock_hits_no_fewer (the ablation's forecast variant hits at
+least as many pre-locks as the steady-state v3_pred variant); either
+verdict must equal its re-derivation.
 
 Usage: python3 scripts/check_bench_gates.py [repo_root]
 """
@@ -137,8 +141,22 @@ def check_scenario_derivations(doc):
                    f"availability {v5['planner_availability']}) vs ckpt "
                    f"predictive ({v5['ckpt_predictive_total_uj']} uJ, "
                    f"availability {v5['ckpt_predictive_availability']})")
-        if v5["planner_exercised"] and int(v5["planner_replans"]) <= 0:
-            yield "planner_exercised claimed with zero recorded replans"
+        exercised = (int(v5["planner_forecast_predicts"]) > 0 and
+                     float(v5["policies"][0]["radio_uj"]) > 0.0 and
+                     int(v5["fault_policies"][0]["resets"]) > 0)
+        if bool(v5["planner_exercised"]) != exercised:
+            yield ("planner_exercised contradicted by raw numbers: "
+                   f"{v5['planner_forecast_predicts']} forecast pre-lock "
+                   f"picks, planner radio {v5['policies'][0]['radio_uj']} "
+                   f"uJ, {v5['fault_policies'][0]['resets']} fault resets")
+        rows = {row["variant"]: row for row in v5["ablation"]}
+        hits_no_fewer = (int(rows["forecast_prelock"]["prelock_hits"]) >=
+                         int(rows["v3_pred"]["prelock_hits"]))
+        if bool(v5["forecast_prelock_hits_no_fewer"]) != hits_no_fewer:
+            yield ("forecast_prelock_hits_no_fewer contradicted by raw "
+                   "numbers: forecast variant "
+                   f"{rows['forecast_prelock']['prelock_hits']} hits vs "
+                   f"ladder {rows['v3_pred']['prelock_hits']}")
     except (KeyError, TypeError, ValueError) as err:
         yield f"scenario derivation fields missing/malformed ({err!r})"
 

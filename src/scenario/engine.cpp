@@ -303,9 +303,9 @@ bool NodeState::reset_and_checkpoint() {
     }
     predicted = -1;
     wake = WakeState::at(sim.boot);
-    // Any horizon plan a forecast-aware governor rolled forward dies with
-    // the volatile state — checkpoints never capture plans, so a restore
-    // replans from the restored rung preference alone.
+    // The pre-lock target dies with the volatile clock state — checkpoints
+    // never capture it, so a restore picks from the restored rung
+    // preference alone.
     if (tr != nullptr) {
       tr->instant(obs::Track::kGovernor, "plan_invalidate", now_s * 1e6);
     }
@@ -451,7 +451,6 @@ double NodeState::serve(double period_s, double cap_mhz) {
     ctx.backlog = static_cast<std::uint32_t>(queue.size() - 1);
     ctx.window_remaining_s = link.gated() ? link.window_end() - serve_s : -1.0;
     ctx.radio_us = frame_radio_us;
-    ctx.harvest_mw = effective_intake_mw(spec, harvest_mw, ambient_c);
     ctx.wake = wake;
 
     const int next = policy.choose(ctx, cur);

@@ -47,46 +47,47 @@ LadderPolicy::LadderPolicy(clock::SwitchCostParams switching,
                            power::PowerModelParams power, bool predictive)
     : switching_(switching), pm_(power), predictive_(predictive) {}
 
-namespace {
+double catchup_budget_us(double window_remaining_s, std::uint32_t backlog,
+                         double radio_us) {
+  if (std::isnan(window_remaining_s)) window_remaining_s = 0.0;
+  if (window_remaining_s < 0.0) return std::numeric_limits<double>::infinity();
+  return window_remaining_s * 1e6 / (static_cast<double>(backlog) + 1.0) -
+         radio_us;
+}
 
-/// Which tier of the tiered-fallback ladder resolved a pick — the decision
-/// mix the governor metrics expose (governor.tier_* counters).
-enum Tier : int {
-  kTierBudget = 0,    ///< Met the backlog catch-up budget.
-  kTierDeclared = 1,  ///< Budget dropped; met the declared deadline.
-  kTierFastest = 2,   ///< Nothing met the deadline; fastest reachable rung.
-  kTierCoolest = 3,   ///< Thermal cap excluded everything; coolest rung.
-};
+double FrameContext::budget_us() const {
+  if (backlog == 0) return std::numeric_limits<double>::infinity();
+  return catchup_budget_us(window_remaining_s, backlog, radio_us);
+}
 
-struct Pick {
-  int rung = -1;
-  Tier tier = kTierBudget;
-};
-
-/// Shared selection loop of choose() and predict_next(). `free_wake` prices
-/// every transition as the bare mux toggle (what a pre-lock establishes);
-/// otherwise transitions run the full switch policy from `wake`.
-Pick pick_rung(const std::vector<RungInfo>& rungs,
-               const clock::SwitchCostParams& switching,
-               const power::PowerModel& pm, const FrameContext& ctx,
-               const std::optional<WakeState>& wake, bool free_wake) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Catch-up budget: with a backlog and a closing window, aim to serve the
-  // queue plus this frame before the window ends. Each frame's share of the
-  // window must also fit its uplink burst, so the compute budget is the
-  // share net of the radio time — the radio-cost side of the energy /
-  // latency-debt trade. Only ever *tightens* the declared deadline, and is
-  // dropped first when nothing meets it.
-  double budget_us = kInf;
-  if (ctx.backlog > 0 && ctx.window_remaining_s >= 0.0) {
-    budget_us = ctx.window_remaining_s * 1e6 /
-                    (static_cast<double>(ctx.backlog) + 1.0) -
-                ctx.radio_us;
+std::uint32_t shed_for(double soc, double miss_ewma,
+                       const DegradedModeSpec& spec) {
+  if (!spec.enabled()) return 0;
+  double severity = 0.0;
+  if (spec.critical_soc > 0.0 && soc < spec.critical_soc) {
+    severity = (spec.critical_soc - soc) / spec.critical_soc;
   }
-  const double cap = ctx.max_sysclk_mhz;
+  if (spec.miss_pressure > 0.0 && miss_ewma > spec.miss_pressure) {
+    const double span = 1.0 - spec.miss_pressure;
+    const double miss_sev =
+        span > 0.0 ? std::min(1.0, (miss_ewma - spec.miss_pressure) / span)
+                   : 1.0;
+    severity = std::max(severity, miss_sev);
+  }
+  if (severity <= 0.0) return 0;
+  const double scaled =
+      std::ceil(std::min(severity, 1.0) * static_cast<double>(spec.max_skip));
+  const auto skip = static_cast<std::uint32_t>(scaled);
+  return skip < spec.max_skip ? skip : spec.max_skip;
+}
 
-  int best_budget = -1, best_deadline = -1, fastest = -1, coolest = -1;
-  double be_budget = kInf, be_deadline = kInf, fastest_t = kInf;
+RungPick pick_rung(const std::vector<RungInfo>& rungs, double declared_us,
+                   double budget_us, double cap_mhz,
+                   const WakePricing& pricing) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tight_us = std::min(declared_us, budget_us);
+  int best_budget = -1, best_declared = -1, fastest = -1, coolest = -1;
+  double be_budget = kInf, be_declared = kInf, fastest_t = kInf;
   double coolest_mhz = kInf;
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     const RungInfo& r = rungs[i];
@@ -94,17 +95,18 @@ Pick pick_rung(const std::vector<RungInfo>& rungs,
       coolest_mhz = r.peak_mhz();
       coolest = static_cast<int>(i);
     }
-    if (cap > 0.0 && r.peak_mhz() > cap + 1e-9) continue;  // thermally barred
+    if (cap_mhz > 0.0 && r.peak_mhz() > cap_mhz + 1e-9) continue;
 
     TransitionCost trans;
-    if (free_wake) {
-      trans.us = switching.mux_switch_us;
+    if (pricing.mode == WakePricing::Mode::kMux) {
+      trans.us = pricing.switching->mux_switch_us;
       trans.uj = trans.us *
-                 pm.config_power_mw(r.entry_hfo,
-                                    power::Activity::kMemoryStall) *
+                 pricing.pm->config_power_mw(r.entry_hfo,
+                                             power::Activity::kMemoryStall) *
                  1e-3;
-    } else if (wake) {
-      trans = wake_transition(*wake, r, switching, pm);
+    } else if (pricing.mode == WakePricing::Mode::kFrom) {
+      trans = wake_transition(*pricing.wake, r, *pricing.switching,
+                              *pricing.pm);
     }
     const double t = r.t_us + trans.us;
     const double e = r.e_uj + trans.uj;
@@ -112,26 +114,20 @@ Pick pick_rung(const std::vector<RungInfo>& rungs,
       fastest_t = t;
       fastest = static_cast<int>(i);
     }
-    if (t <= ctx.deadline_us + 1e-9 && e < be_deadline) {
-      be_deadline = e;
-      best_deadline = static_cast<int>(i);
+    if (t <= declared_us + 1e-9 && e < be_declared) {
+      be_declared = e;
+      best_declared = static_cast<int>(i);
     }
-    if (t <= std::min(ctx.deadline_us, budget_us) + 1e-9 && e < be_budget) {
+    if (t <= tight_us + 1e-9 && e < be_budget) {
       be_budget = e;
       best_budget = static_cast<int>(i);
     }
   }
-  if (best_budget >= 0) return {best_budget, kTierBudget};
-  if (best_deadline >= 0) return {best_deadline, kTierDeclared};
-  // No rung fits the deadline: run the fastest reachable one (the miss is
-  // the scenario engine's to count).
-  if (fastest >= 0) return {fastest, kTierFastest};
-  // The thermal cap excluded everything: run the coolest rung (the engine
-  // counts the violation).
-  return {coolest, kTierCoolest};
+  if (best_budget >= 0) return {best_budget, PickTier::kBudget};
+  if (best_declared >= 0) return {best_declared, PickTier::kDeclared};
+  if (fastest >= 0) return {fastest, PickTier::kFastest};
+  return {coolest, PickTier::kCoolest};
 }
-
-}  // namespace
 
 void LadderPolicy::set_sink(obs::Sink* sink) {
   obs::MetricsRegistry* mx = sink != nullptr ? sink->metrics : nullptr;
@@ -143,17 +139,10 @@ void LadderPolicy::set_sink(obs::Sink* sink) {
   }
   choose_calls_ = &mx->counter("governor.choose_calls");
   predict_calls_ = &mx->counter("governor.predict_calls");
-  tier_counters_[kTierBudget] = &mx->counter("governor.tier_budget");
-  tier_counters_[kTierDeclared] = &mx->counter("governor.tier_declared");
-  tier_counters_[kTierFastest] = &mx->counter("governor.tier_fastest");
-  tier_counters_[kTierCoolest] = &mx->counter("governor.tier_coolest");
-}
-
-int LadderPolicy::raw_pick(const FrameContext& ctx,
-                           const std::optional<WakeState>& wake,
-                           bool free_wake) const {
-  if (rungs_.empty()) return -1;
-  return pick_rung(rungs_, switching_, pm_, ctx, wake, free_wake).rung;
+  tier_counters_[0] = &mx->counter("governor.tier_budget");  // PickTier order
+  tier_counters_[1] = &mx->counter("governor.tier_declared");
+  tier_counters_[2] = &mx->counter("governor.tier_fastest");
+  tier_counters_[3] = &mx->counter("governor.tier_coolest");
 }
 
 int LadderPolicy::choose(const FrameContext& ctx, int current_rung) const {
@@ -162,11 +151,12 @@ int LadderPolicy::choose(const FrameContext& ctx, int current_rung) const {
   if (!wake && current_rung >= 0) {
     wake = WakeState::after(rungs_[static_cast<std::size_t>(current_rung)]);
   }
-  const Pick pick =
-      pick_rung(rungs_, switching_, pm_, ctx, wake, /*free_wake=*/false);
+  const RungPick pick = pick_rung(
+      rungs_, ctx.deadline_us, ctx.budget_us(), ctx.max_sysclk_mhz,
+      wake ? WakePricing::from(*wake, switching_, pm_) : WakePricing::zero());
   if (choose_calls_ != nullptr) {
     choose_calls_->add();
-    tier_counters_[pick.tier]->add();
+    tier_counters_[static_cast<int>(pick.tier)]->add();
   }
   return pick.rung;
 }
@@ -216,23 +206,7 @@ std::optional<ThermalAnchor> find_thermal_anchor(
 std::uint32_t LadderPolicy::degraded_skip(double battery_soc,
                                           double miss_ewma,
                                           const DegradedModeSpec& spec) const {
-  if (!spec.enabled()) return 0;
-  double severity = 0.0;
-  if (spec.critical_soc > 0.0 && battery_soc < spec.critical_soc) {
-    severity = (spec.critical_soc - battery_soc) / spec.critical_soc;
-  }
-  if (spec.miss_pressure > 0.0 && miss_ewma > spec.miss_pressure) {
-    const double span = 1.0 - spec.miss_pressure;
-    const double miss_sev =
-        span > 0.0 ? std::min(1.0, (miss_ewma - spec.miss_pressure) / span)
-                   : 1.0;
-    severity = std::max(severity, miss_sev);
-  }
-  if (severity <= 0.0) return 0;
-  const double scaled =
-      std::ceil(std::min(severity, 1.0) * static_cast<double>(spec.max_skip));
-  const auto skip = static_cast<std::uint32_t>(scaled);
-  return skip < spec.max_skip ? skip : spec.max_skip;
+  return shed_for(battery_soc, miss_ewma, spec);
 }
 
 int LadderPolicy::predict_next(const FrameContext& ctx, int chosen) const {
@@ -242,8 +216,8 @@ int LadderPolicy::predict_next(const FrameContext& ctx, int chosen) const {
   // Steady-duty-cycle assumption: the next frame looks like this one. Pick
   // the rung the policy would run if waking were free — pre-locking its
   // entry PLL during the coming sleep is exactly what makes that true.
-  return pick_rung(rungs_, switching_, pm_, ctx, std::nullopt,
-                   /*free_wake=*/true)
+  return pick_rung(rungs_, ctx.deadline_us, ctx.budget_us(),
+                   ctx.max_sysclk_mhz, WakePricing::mux(switching_, pm_))
       .rung;
 }
 

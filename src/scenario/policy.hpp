@@ -2,10 +2,21 @@
 // ladder of executable schedules ("rungs") and picks one per frame. The
 // adaptive governor (governor/governor.hpp) is the interesting
 // implementation; StaticPolicy pins one rung forever and is the baseline the
-// benches compare against. LadderPolicy holds the shared online decision
-// rule (minimum energy under the active deadline, thermal-cap filtering,
-// backlog catch-up, optional predictive PLL pre-lock) so the governor and
-// synthetic test ladders run the exact same code.
+// benches compare against.
+//
+// The paper's online step — run the minimum-energy schedule that meets the
+// active latency constraint — is written once, as three pure functions:
+//
+//   catchup_budget_us — the backlog catch-up budget that tightens the
+//                       declared deadline while a connectivity window closes;
+//   pick_rung         — the tiered selection loop (budget, declared deadline,
+//                       fastest, coolest) under a thermal cap, with the wake
+//                       transition priced three ways (zero, pre-locked mux
+//                       toggle, full switch policy from a WakeState);
+//   shed_for          — the degraded-mode shed severity.
+//
+// LadderPolicy (and through it the governor and the planning policy) and
+// serve::ScheduleServer are their only callers.
 #pragma once
 
 #include <cstdint>
@@ -105,15 +116,14 @@ struct FrameContext {
   /// frame — payload-only for a follow frame riding an already-ramped PA —
   /// which is how batching is netted into the catch-up budget.
   double radio_us = 0.0;
-  /// Effective harvest intake (panel thermal derating applied) at the
-  /// frame's slot — forecast state the planning governor
-  /// (governor/planning.hpp) correlates with its harvest calendar. Always
-  /// populated by the engine; myopic policies ignore it.
-  double harvest_mw = 0.0;
   /// Clock-tree state at wake, when the engine tracks it (pre-lock aware).
   /// Unset on a cold start or when calling choose() outside the engine —
   /// policies then fall back to the previous rung's exit state.
   std::optional<WakeState> wake;
+
+  /// This frame's catch-up budget: catchup_budget_us() while frames queue
+  /// behind it, +inf with an empty queue (nothing to catch up on).
+  [[nodiscard]] double budget_us() const;
 };
 
 class SchedulePolicy {
@@ -176,26 +186,85 @@ struct TransitionCost {
     const RungInfo& from, const RungInfo& to,
     const clock::SwitchCostParams& switching, const power::PowerModel& pm);
 
-/// Shared ladder decision rule. Owns a rung ladder plus the switch/power
-/// parameterization that prices wake transitions, and implements:
+/// Backlog catch-up budget: each of the `backlog + 1` frames' share of the
+/// closing window, net of its uplink burst `radio_us` (the radio-cost side
+/// of the energy / latency-debt trade). +inf when there is no window
+/// (`window_remaining_s < 0`); a NaN window is unknown and read as closing
+/// now, the tightest budget. Callers only ever let it *tighten* a declared
+/// deadline.
+[[nodiscard]] double catchup_budget_us(double window_remaining_s,
+                                       std::uint32_t backlog,
+                                       double radio_us);
+
+/// Degraded-mode shed severity: the worse of the SoC deficit below
+/// `critical_soc` and the miss-EWMA excess above `miss_pressure`, each
+/// normalized to [0, 1]; the skip factor is the severity-scaled share of
+/// `max_skip` (rounded up, so any pressure sheds at least one frame). Zero
+/// while both triggers are clear or the ladder is disabled.
+[[nodiscard]] std::uint32_t shed_for(double soc, double miss_ewma,
+                                     const DegradedModeSpec& spec);
+
+/// How pick_rung prices the wake transition into each candidate rung.
+struct WakePricing {
+  enum class Mode {
+    kZero,  ///< No transition cost (no wake state known; the server).
+    kMux,   ///< Bare SYSCLK mux toggle — what a pre-lock establishes.
+    kFrom,  ///< Full switch policy from `wake` (wake_transition).
+  };
+  Mode mode = Mode::kZero;
+  const WakeState* wake = nullptr;
+  const clock::SwitchCostParams* switching = nullptr;
+  const power::PowerModel* pm = nullptr;
+
+  [[nodiscard]] static WakePricing zero() { return {}; }
+  [[nodiscard]] static WakePricing mux(const clock::SwitchCostParams& sw,
+                                       const power::PowerModel& pm) {
+    return {Mode::kMux, nullptr, &sw, &pm};
+  }
+  [[nodiscard]] static WakePricing from(const WakeState& wake,
+                                        const clock::SwitchCostParams& sw,
+                                        const power::PowerModel& pm) {
+    return {Mode::kFrom, &wake, &sw, &pm};
+  }
+};
+
+/// Which tier of the decision rule resolved a pick (the governor.tier_*
+/// counters).
+enum class PickTier : int {
+  kBudget = 0,    ///< Met the catch-up budget (and the declared deadline).
+  kDeclared = 1,  ///< Budget dropped; met the declared deadline.
+  kFastest = 2,   ///< Nothing met the deadline; fastest eligible rung.
+  kCoolest = 3,   ///< The thermal cap excluded everything; coolest rung.
+};
+
+struct RungPick {
+  int rung = -1;  ///< -1 iff the ladder is empty.
+  PickTier tier = PickTier::kBudget;
+};
+
+/// The decision rule. Rungs whose peak clock exceeds `cap_mhz` (0 =
+/// uncapped) are barred. Among the rest, with each rung's latency and
+/// energy including its priced wake transition: the minimum-energy rung
+/// meeting min(`declared_us`, `budget_us`); else the minimum-energy rung
+/// meeting `declared_us` (the budget is dropped, declared QoS stays
+/// primary); else the fastest eligible rung (the miss is the caller's to
+/// count); else — the cap barred everything — the coolest rung. Ties go to
+/// the lower index.
+[[nodiscard]] RungPick pick_rung(const std::vector<RungInfo>& rungs,
+                                 double declared_us, double budget_us,
+                                 double cap_mhz, const WakePricing& pricing);
+
+/// Ladder policy: owns a rung ladder plus the switch/power parameterization
+/// that prices wake transitions, and applies the decision rule per frame:
 ///
-///   choose  — minimum-energy rung whose latency plus the wake-transition
-///             cost meets the effective deadline, where the effective
-///             deadline is the declared QoS bound tightened (never loosened)
-///             by the backlog catch-up budget `window_remaining / (backlog
-///             + 1) - radio_tx` (each queued frame's share of the closing
-///             window must also fit its uplink burst). Rungs above the
-///             thermal cap are filtered out first.
-///             Tiered fallbacks keep the declared QoS primary: if nothing
-///             meets the catch-up budget the budget is dropped; if nothing
-///             meets the declared deadline the fastest reachable rung runs
-///             (the miss is the engine's to count); if the cap excludes
-///             every rung, the coolest rung runs (the engine counts the
-///             thermal violation).
+///   choose  — pick_rung at the frame's deadline, thermal cap and catch-up
+///             budget, the wake transition priced from the engine's wake
+///             state (or the previous rung's exit state).
 ///   predict — with `predictive` set: the rung choose() would pick for an
 ///             unchanged context if waking were free (transitions reduced
 ///             to the mux toggle) — exactly what a pre-lock establishes.
 ///             Without `predictive`: -1 (the PR 2 reactive behavior).
+///   degraded_skip — shed_for.
 ///
 /// The governor derives from this class; tests drive it with synthetic
 /// ladders so the fuzz harness exercises the very same decision code.
@@ -212,11 +281,7 @@ class LadderPolicy : public SchedulePolicy {
                            int current_rung) const override;
   [[nodiscard]] int predict_next(const FrameContext& ctx,
                                  int chosen) const override;
-  /// DegradedMode ladder: shed severity is the worse of the SoC deficit
-  /// below `critical_soc` and the miss-EWMA excess above `miss_pressure`,
-  /// each normalized to [0, 1]; the skip factor is the severity-scaled
-  /// share of `max_skip` (rounded up, so any pressure sheds at least one
-  /// frame). Zero while both triggers are clear.
+  /// DegradedMode ladder: shed_for.
   [[nodiscard]] std::uint32_t degraded_skip(
       double battery_soc, double miss_ewma,
       const DegradedModeSpec& spec) const override;
@@ -228,21 +293,11 @@ class LadderPolicy : public SchedulePolicy {
   /// (governor.tier_* counters, docs/observability.md). Purely
   /// observational — decisions are unchanged; nullptr detaches. Counter
   /// references are hoisted here once so the per-frame cost is one pointer
-  /// test + increment. Virtual so planning subclasses can hoist their own
-  /// planner.* instruments alongside.
+  /// test + increment. Virtual so the planning policy can hoist its
+  /// planner.forecast_predicts counter alongside.
   virtual void set_sink(obs::Sink* sink);
 
  protected:
-  /// The tiered decision rule without metrics emission — the raw pick the
-  /// planning governor (governor/planning.cpp) replays over its lookahead
-  /// horizon. `wake` prices the wake transition (nullopt = free-standing
-  /// pick); `free_wake` reduces every transition to the bare mux toggle
-  /// (what a pre-lock establishes). Byte-for-byte the selection loop
-  /// choose()/predict_next() run, so a horizon rollout can never drift from
-  /// the online rule.
-  [[nodiscard]] int raw_pick(const FrameContext& ctx,
-                             const std::optional<WakeState>& wake,
-                             bool free_wake) const;
   /// For subclasses (the governor) that build the ladder after base-class
   /// construction.
   LadderPolicy(clock::SwitchCostParams switching,

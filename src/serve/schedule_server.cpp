@@ -155,20 +155,16 @@ QuantizedState ScheduleServer::quantize(const DeviceState& state) const {
   q.temp_cell = cfg_.grid.temp_cell(state.ambient_c);
   q.soc_band = cfg_.grid.soc_band(state.soc);
   q.effective_cell = q.slack_cell;
-  if (state.window_remaining_s >= 0.0) {
-    // Backlog catch-up budget (the LadderPolicy rule): each queued frame's
-    // share of the closing window, tightening-only. The budget maps DOWN to
-    // the largest grid deadline it still covers; below the fastest cell the
-    // device gets the fastest rung (and a feasible=false answer flags the
-    // miss).
-    const std::uint32_t backlog =
-        std::min(state.backlog, cfg_.grid.backlog_cap);
-    const double budget_us =
-        state.window_remaining_s * 1e6 / static_cast<double>(backlog + 1);
-    while (q.effective_cell > 0 && deadline_us(q.effective_cell) > budget_us) {
-      --q.effective_cell;
-    }
-    if (deadline_us(q.effective_cell) > budget_us) q.effective_cell = 0;
+  // The catch-up budget (no radio term: the server knows no uplink) maps
+  // DOWN to the largest grid deadline it still covers, floored at cell 0;
+  // below the fastest cell the device gets the fastest rung and a
+  // feasible=false answer flags the miss. Unlike a LadderPolicy frame, an
+  // empty queue still has to finish inside the window.
+  const double budget_us = scenario::catchup_budget_us(
+      state.window_remaining_s, std::min(state.backlog, cfg_.grid.backlog_cap),
+      0.0);
+  while (q.effective_cell > 0 && deadline_us(q.effective_cell) > budget_us) {
+    --q.effective_cell;
   }
   return q;
 }
@@ -184,68 +180,23 @@ ScheduleAnswer ScheduleServer::resolve(const QuantizedState& q, Shard& shard) {
   a.deadline_us = deadline_us(q.effective_cell);
   a.cap_mhz = cfg_.derate.max_sysclk_mhz(cfg_.grid.temp_value(q.temp_cell));
 
-  // Rung pick, mirroring scenario::LadderPolicy's tiers: (1) min-energy
-  // thermally eligible rung under the effective (budget-tightened)
-  // deadline; (2) budget dropped, declared deadline; (3) fastest eligible
-  // rung (the miss is the device's to count); (4) cap excludes everything:
-  // coolest rung.
-  const double declared_us = deadline_us(q.slack_cell);
-  int best = -1, best_declared = -1, fastest = -1, coolest = -1;
-  for (std::size_t i = 0; i < rungs_.size(); ++i) {
-    const scenario::RungInfo& r = rungs_[i];
-    const int idx = static_cast<int>(i);
-    if (coolest < 0 ||
-        r.peak_mhz() <
-            rungs_[static_cast<std::size_t>(coolest)].peak_mhz()) {
-      coolest = idx;
-    }
-    if (a.cap_mhz > 0.0 && r.peak_mhz() > a.cap_mhz) continue;
-    if (fastest < 0 ||
-        r.t_us < rungs_[static_cast<std::size_t>(fastest)].t_us) {
-      fastest = idx;
-    }
-    if (r.t_us <= a.deadline_us &&
-        (best < 0 ||
-         r.e_uj < rungs_[static_cast<std::size_t>(best)].e_uj)) {
-      best = idx;
-    }
-    if (r.t_us <= declared_us &&
-        (best_declared < 0 ||
-         r.e_uj < rungs_[static_cast<std::size_t>(best_declared)].e_uj)) {
-      best_declared = idx;
-    }
-  }
-  if (best >= 0) {
-    a.rung = best;
-    a.feasible = true;
-  } else if (best_declared >= 0) {
-    a.rung = best_declared;
-    a.feasible = true;
-  } else if (fastest >= 0) {
-    a.rung = fastest;
-  } else {
-    a.rung = coolest;  // -1 iff the ladder is empty.
-  }
+  // The decision rule at the cell values; no wake state, so transitions
+  // are free. The shed hint is the degraded ladder at the band's
+  // representative SoC with zero miss pressure (the server holds no
+  // per-device miss history).
+  const scenario::RungPick pick =
+      scenario::pick_rung(rungs_, deadline_us(q.slack_cell), a.deadline_us,
+                          a.cap_mhz, scenario::WakePricing::zero());
+  a.rung = pick.rung;
+  a.feasible = pick.tier == scenario::PickTier::kBudget ||
+               pick.tier == scenario::PickTier::kDeclared;
   if (a.rung >= 0) {
     const scenario::RungInfo& r = rungs_[static_cast<std::size_t>(a.rung)];
     a.rung_t_us = r.t_us;
     a.rung_e_uj = r.e_uj;
   }
-
-  // Degraded-mode shed hint: the LadderPolicy severity formula at the
-  // band's representative SoC, with zero miss pressure (the server holds no
-  // per-device miss history).
-  const scenario::DegradedModeSpec& d = cfg_.degraded;
-  if (d.enabled() && d.critical_soc > 0.0) {
-    const double soc = cfg_.grid.soc_value(q.soc_band);
-    if (soc < d.critical_soc) {
-      const double severity = (d.critical_soc - soc) / d.critical_soc;
-      const double scaled = std::ceil(std::min(severity, 1.0) *
-                                      static_cast<double>(d.max_skip));
-      const auto skip = static_cast<std::uint32_t>(scaled);
-      a.shed = skip < d.max_skip ? skip : d.max_skip;
-    }
-  }
+  a.shed = scenario::shed_for(cfg_.grid.soc_value(q.soc_band), 0.0,
+                              cfg_.degraded);
 
   // Exact per-layer MCKP at the cell deadline, from the per-shard memoized
   // sweep (one solve_dp_sweep over the whole deadline ladder per shard,

@@ -12,9 +12,9 @@
 //      answer is always safe for the true state).
 //   2. Probe the sharded, eviction-bounded answer cache (the
 //      dse::ProfileCache capacity/eviction + relaxed atomic-stats idioms).
-//   3. On miss, resolve fresh: thermal-filter the rung ladder at the cell
-//      temperature, pick the min-energy rung under the cell deadline
-//      (tiered fallbacks mirroring scenario::LadderPolicy), and — when the
+//   3. On miss, resolve fresh: run the shared decision rule
+//      (scenario::pick_rung, zero-cost wake pricing) at the cell deadline
+//      and the cell temperature's thermal cap, and — when the
 //      server holds the governor's per-layer mckp::Instance — read the
 //      exact MCKP answer at the cell deadline from a per-shard memoized
 //      mckp::solve_dp_sweep over the whole deadline ladder (one DP pass per
@@ -58,7 +58,8 @@ struct DeviceState {
   double ambient_c = 25.0;   ///< Ambient temperature at the node.
   double soc = 1.0;          ///< Battery state of charge in [0, 1].
   std::uint32_t backlog = 0; ///< Frames queued behind the uplink.
-  /// Time left in the node's connectivity window; < 0 = unbounded.
+  /// Time left in the node's connectivity window; < 0 = unbounded, NaN =
+  /// unknown (read as closing now: effective cell 0).
   double window_remaining_s = -1.0;
 };
 
@@ -96,8 +97,8 @@ struct StateGrid {
 
 /// A device state quantized onto the grid — the answer-cache key domain.
 /// `effective_cell <= slack_cell`: the deadline cell after the link state
-/// (backlog catch-up budget window/(backlog+1), the LadderPolicy rule)
-/// tightened the declared cell, floored at cell 0.
+/// (scenario::catchup_budget_us) tightened the declared cell, floored at
+/// cell 0.
 struct QuantizedState {
   int slack_cell = 0;
   int effective_cell = 0;
@@ -154,8 +155,8 @@ struct ServerConfig {
   /// Thermal derating curve turning the cell ambient into a clock cap.
   /// Default: derating disabled (mhz_per_c == 0 — no cap at any cell).
   scenario::ThermalDerate derate;
-  /// Degraded-mode ladder for the shed hint (LadderPolicy severity formula
-  /// at the band SoC with zero miss pressure). Default: disabled.
+  /// Degraded-mode ladder for the shed hint (scenario::shed_for at the band
+  /// SoC with zero miss pressure). Default: disabled.
   scenario::DegradedModeSpec degraded;
   /// DP width of the memoized per-shard MCKP sweep.
   int mckp_ticks = 4096;

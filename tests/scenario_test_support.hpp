@@ -10,6 +10,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "governor/planning.hpp"
@@ -79,12 +83,12 @@ class SpecRng {
 /// perturbs the legacy part of a seed's spec.
 struct SpecFeatures {
   bool faults = false;  ///< Resets/checkpoints, lossy radio, degradation.
-  /// Forecast-error dimensions (PR 10): surprise bursts the planner's
-  /// forecast does not know about, harvest forecast noise, and
-  /// window-calendar drift. Drawn from a third independent seeded stream,
-  /// so enabling them perturbs neither the legacy nor the fault draws of a
-  /// seed's spec — and only the surprise bursts touch the *spec*; the
-  /// noise/drift distort the forecast alone (fuzz_forecast below).
+  /// Forecast-error dimensions: surprise bursts added to the spec and
+  /// window-calendar drift applied to the planner's forecast alone
+  /// (fuzz_forecast below), plus a harvest-noise draw that only holds its
+  /// stream position. Drawn from a third independent seeded stream, so
+  /// enabling them perturbs neither the legacy nor the fault draws of a
+  /// seed's spec.
   bool forecast = false;
 };
 
@@ -202,10 +206,9 @@ inline MissionSpec random_mission_spec(std::uint64_t seed,
   }
 
   // ---- Forecast-error dimensions (third stream; see SpecFeatures). The
-  // surprise bursts are REAL events appended to the spec; the harvest
-  // noise and window drift are drawn here (stream position!) but applied
-  // only to the planner's forecast by fuzz_forecast, which replays this
-  // exact draw sequence.
+  // surprise bursts are REAL events appended to the spec; the window drift
+  // is drawn here (stream position!) but applied only to the planner's
+  // forecast by fuzz_forecast, which replays this exact draw sequence.
   if (features.forecast) {
     SpecRng frng((seed ^ kForecastStreamSalt) * 0x9e3779b97f4a7c15ULL + 1);
     const int n_surprise = frng.upto(3);
@@ -217,42 +220,53 @@ inline MissionSpec random_mission_spec(std::uint64_t seed,
     if (rng.coin()) {
       spec.radio_batch_frames = static_cast<std::uint32_t>(1 + rng.upto(16));
     }
-    (void)frng.range(0.5, 1.5);       // harvest forecast noise (forecast-only)
+    (void)frng.range(0.5, 1.5);       // harvest noise (stream position only)
     (void)frng.range(-600.0, 600.0);  // window calendar drift (forecast-only)
   }
   return spec;
 }
 
 /// The distorted forecast matching a `features.forecast` spec: replays the
-/// spec builder's third-stream draws to (a) strip the surprise bursts the
-/// planner must not foresee, (b) scale every forecast harvest step by the
-/// noise factor, and (c) drift the forecast window calendar — so the
-/// planner plans against a *wrong* calendar while the engine runs the real
-/// one. For a spec built without `features.forecast` this is simply the
+/// spec builder's third-stream draws to drift the forecast window calendar
+/// — so the planner pre-locks against a *wrong* calendar while the engine
+/// runs the real one. The forecast carries neither bursts nor harvest, so
+/// the surprise-burst and harvest-noise draws are taken and discarded: the
+/// stream position, and with it the corpus, is unchanged. For a spec built without `features.forecast` this is simply the
 /// perfect forecast.
 inline governor::MissionForecast fuzz_forecast(
     const MissionSpec& spec, std::uint64_t seed,
     double t_base_us = kSyntheticTBase) {
   SpecRng frng((seed ^ kForecastStreamSalt) * 0x9e3779b97f4a7c15ULL + 1);
-  MissionSpec known = spec;
   const int n_surprise = frng.upto(3);
-  for (int i = 0; i < n_surprise; ++i) {
-    frng.unit();  // start_s draw
-    frng.unit();  // duration_s draw
-    frng.unit();  // period_s draw
-    if (!known.bursts.empty()) known.bursts.pop_back();  // appended last
-  }
-  const double harvest_noise = frng.range(0.5, 1.5);
+  for (int i = 0; i < 3 * n_surprise; ++i) frng.unit();  // burst draws
+  (void)frng.range(0.5, 1.5);  // harvest noise
   const double window_drift_s = frng.range(-600.0, 600.0);
   governor::MissionForecast f =
-      governor::MissionForecast::from_spec(known, t_base_us);
-  f.base_harvest_mw *= harvest_noise;
-  for (HarvestEvent& h : f.harvest) h.intake_mw *= harvest_noise;
+      governor::MissionForecast::from_spec(spec, t_base_us);
   for (governor::ForecastSpan& s : f.windows) {
     s.start_s += window_drift_s;
     s.end_s += window_drift_s;
   }
   return f;
+}
+
+/// Golden-file helper shared by every `*Golden*` test: returns the pinned
+/// contents of tests/data/<file>. With DAEDVFS_REGEN_GOLDEN set it rewrites
+/// the file with `got` instead and returns nullopt — the caller then skips:
+///   DAEDVFS_REGEN_GOLDEN=1 ./build/daedvfs_tests --gtest_filter='*Golden*'
+inline std::optional<std::string> golden_or_regen(const std::string& file,
+                                                  const std::string& got) {
+  const std::string path = std::string(DAEDVFS_TEST_DATA_DIR) + "/" + file;
+  if (std::getenv("DAEDVFS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(path, std::ios::binary);
+    os << got;
+    return std::nullopt;
+  }
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(is.good()) << "missing golden file " << path;
+  std::ostringstream want;
+  want << is.rdbuf();
+  return want.str();
 }
 
 /// The MissionReport invariants every scenario — fuzzed or hand-written —

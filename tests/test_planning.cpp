@@ -1,21 +1,20 @@
-// Horizon-replay harness for the forecast-aware MPC planning governor
-// (governor/planning.hpp) — the PR 10 determinism pins:
+// Determinism pins for the forecast-aware planning policy
+// (governor/planning.hpp):
 //
 //   (a) horizon == 0 reproduces the predictive (and reactive) ladder
 //       governor BYTE FOR BYTE — report JSON, fault ledger included, and
-//       trace — across the full fuzz corpus: planning is a strict
-//       extension, never a behavioral drift;
-//   (b) forecast-error fuzzing (surprise bursts, harvest noise, window
-//       drift from the third seeded stream) never lets a replan violate
-//       the battery/QoS accounting invariants, and frame accounting
-//       closes under duty-cycled uplinks;
+//       trace — across the full fuzz corpus;
+//   (b) forecast-error fuzzing (surprise bursts and window drift from the
+//       third seeded stream) never lets a forecast pre-lock violate the
+//       battery/QoS accounting invariants, and frame accounting closes
+//       under duty-cycled uplinks;
 //   (c) batched uplinks are differentially no worse than per-frame bursts
 //       (radio energy, declared-QoS misses) with identical frame
 //       accounting;
-//   (d) watchdog/brownout edge cases — reset mid-horizon (cold vs
-//       checkpoint restore), a window closing before the planned drain,
-//       depletion during a planned pre-spend — stay deterministic and
-//       invariant-clean;
+//   (d) watchdog/brownout edge cases — reset mid-mission (cold vs
+//       checkpoint restore), a window closing before the drain, depletion
+//       on a wrong harvest outlook — stay deterministic and
+//       invariant-clean, and a golden planner report pins the full path;
 //   (e) one shared stateless planner serves concurrent simulate_mission
 //       calls from several threads (the ThreadSanitizer job runs this
 //       suite).
@@ -23,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -79,7 +79,7 @@ PlanningPolicy make_planner(std::uint32_t horizon, MissionForecast forecast,
                         predictive);
 }
 
-// ---- (a) The horizon-replay property ----------------------------------
+// ---- (a) Horizon 0 is the ladder policy ----------------------------------
 
 TEST(Planning, HorizonZeroMatchesLadderByteForByte) {
   const sim::SimParams sim;
@@ -123,16 +123,15 @@ TEST(Planning, ForecastFuzzInvariantsHoldUnderReplans) {
   for (int seed = 0; seed < seeds; ++seed) {
     const std::uint64_t s = static_cast<std::uint64_t>(seed);
     const MissionSpec spec = random_mission_spec(s, features);
-    // The planner plans against the DISTORTED calendar (surprises
-    // stripped, harvest noised, windows drifted) while the engine runs
-    // the real one — every replan lands one slot late by construction,
-    // and none of them may bend the accounting.
+    // The planner pre-locks against the DISTORTED calendar (surprise
+    // bursts unforeseen, windows drifted) while the engine runs the real
+    // one — mispredicted pre-locks must not bend the accounting.
     const PlanningPolicy planner =
         make_planner(8, fuzz_forecast(spec, s, kTBase), seed % 2 == 0);
     const MissionReport a = simulate_mission(spec, planner, kTBase, sim);
     const MissionReport b = simulate_mission(spec, planner, kTBase, sim);
     ASSERT_EQ(report_json(a), report_json(b))
-        << "seed " << seed << ": forecast-miss replans broke determinism";
+        << "seed " << seed << ": forecast misses broke determinism";
     check_mission_invariants(spec, a);
     EXPECT_EQ(a.frames_captured,
               a.frames + a.frames_shed + a.frames_dropped + a.frames_pending)
@@ -245,8 +244,8 @@ TEST(Planning, BatchedUplinksDifferential) {
 TEST(Planning, BrownoutResetMidHorizonColdVsCheckpointRestore) {
   const sim::SimParams sim;
   MissionSpec cold = edge_spec();
-  // Watchdog bites mid-mission, inside the planner's rolled-forward
-  // horizon and while a backlog is queued behind a closed window.
+  // Watchdog bites mid-mission, with a forecast pre-lock in flight and a
+  // backlog queued behind a closed window.
   cold.faults.resets = {{12000.0}, {25000.0}};
   cold.faults.reboot.boot_s = 30.0;
   cold.faults.reboot.boot_uj = 20000.0;
@@ -262,10 +261,10 @@ TEST(Planning, BrownoutResetMidHorizonColdVsCheckpointRestore) {
     const MissionReport a = simulate_mission(*spec, planner, kTBase, sim, &sink);
     const MissionReport b = simulate_mission(*spec, planner, kTBase, sim);
     ASSERT_EQ(report_json(a), report_json(b))
-        << spec->name << ": reset mid-horizon broke determinism";
+        << spec->name << ": reset mid-mission broke determinism";
     check_mission_invariants(*spec, a);
     EXPECT_EQ(a.resets, 2u);
-    // Every reset kills the in-flight plan — the engine says so on the
+    // Every reset kills the in-flight pre-lock — the engine says so on the
     // governor track, checkpointed or not.
     EXPECT_NE(trace_json(tr).find("plan_invalidate"), std::string::npos)
         << spec->name << ": resets must invalidate the plan in the trace";
@@ -304,15 +303,13 @@ TEST(Planning, WindowClosesBeforePlannedDrain) {
 TEST(Planning, DepletionDuringPlannedPreSpend) {
   const sim::SimParams sim;
   MissionSpec spec = edge_spec();
-  // A battery too small for the mission, and a forecast promising sun
-  // that never quite arrives in time: the planner pre-spends into the
-  // expected harvest and the battery dies mid-plan. Depletion must stay
-  // terminal and the books must close.
+  // A battery too small for the mission and sun that arrives too late:
+  // the battery dies mid-mission. Depletion must stay terminal and the
+  // books must close.
   spec.battery.capacity_mwh = 2.0;
   spec.harvest_events = {{35000.0, 5.0}};
-  MissionForecast forecast = MissionForecast::from_spec(spec, kTBase);
-  for (HarvestEvent& h : forecast.harvest) h.at_s -= 20000.0;  // early sun
-  const PlanningPolicy planner = make_planner(10, forecast);
+  const PlanningPolicy planner =
+      make_planner(10, MissionForecast::from_spec(spec, kTBase));
   const MissionReport a = simulate_mission(spec, planner, kTBase, sim);
   const MissionReport b = simulate_mission(spec, planner, kTBase, sim);
   ASSERT_EQ(report_json(a), report_json(b));
@@ -323,38 +320,84 @@ TEST(Planning, DepletionDuringPlannedPreSpend) {
       << "depletion must cut the mission short";
 }
 
+// ---- Planner golden ----------------------------------------------------
+
+/// Gated, bursty, faulted mission for the planner golden: periodic windows
+/// with a batched, lossy uplink draining a backlog, QoS steps into the
+/// mixed rung's relock window, frame-rate bursts, a thermal soak past the
+/// derate point, harvest steps, checkpointed watchdog resets and the
+/// degraded-mode ladder on a battery that reaches the critical band.
+MissionSpec planner_golden_spec() {
+  MissionSpec spec = edge_spec();
+  spec.name = "planner-golden";
+  spec.seed = 2027;
+  spec.battery.capacity_mwh = 40.0;
+  spec.qos_events = {{6000.0, mixed_rung_slack()}, {9000.0, 0.4},
+                     {20000.0, 0.1}, {26000.0, 0.4}};
+  spec.bursts = {{5000.0, 3000.0, 2.0}, {18000.0, 4000.0, 1.0}};
+  spec.base_ambient_c = 25.0;
+  spec.temp_events = {{14000.0, 75.0}, {22000.0, 25.0}};
+  spec.derate = {50.0, 4.0, 216.0};
+  spec.harvest_events = {{10000.0, 2.0}, {30000.0, 0.0}};
+  spec.faults.resets = {{12000.0}, {27000.0}};
+  spec.faults.reboot.boot_s = 30.0;
+  spec.faults.reboot.checkpoint_interval_s = 1000.0;
+  spec.faults.radio.loss_prob = 0.2;
+  spec.faults.radio.max_retries = 2;
+  spec.faults.radio.backoff_base_s = 0.5;
+  spec.faults.degraded.critical_soc = 0.4;
+  spec.faults.degraded.miss_pressure = 0.2;
+  spec.faults.degraded.max_skip = 3;
+  spec.period_jitter = 0.05;
+  return spec;
+}
+
+TEST(Planning, GoldenPlannerReport) {
+  const sim::SimParams sim;
+  const MissionSpec spec = planner_golden_spec();
+  // The forecast runs its windows 300 s late.
+  MissionForecast forecast = MissionForecast::from_spec(spec, kTBase);
+  for (governor::ForecastSpan& s : forecast.windows) {
+    s.start_s += 300.0;
+    s.end_s += 300.0;
+  }
+  std::string got;
+  for (const bool predictive : {true, false}) {
+    const PlanningPolicy planner = make_planner(8, forecast, predictive);
+    const MissionReport r = simulate_mission(spec, planner, kTBase, sim);
+    check_mission_invariants(spec, r);
+    got += report_json(r) + "\n";
+  }
+  const std::optional<std::string> want =
+      golden_or_regen("planner_report_golden.json", got);
+  if (!want) GTEST_SKIP() << "regenerated planner_report_golden.json";
+  EXPECT_EQ(*want, got)
+      << "planner MissionReport JSON drifted from the golden file";
+}
+
 // ---- Forecast queries match the engine's calendar semantics ------------
 
 TEST(Planning, ForecastQueriesMatchSpecCalendar) {
   MissionSpec spec;
-  spec.duty.period_s = 20.0;
   spec.base_qos_slack = 0.5;
   spec.qos_events = {{100.0, 0.2}, {50.0, 0.8}};  // deliberately unsorted
-  spec.bursts = {{200.0, 50.0, 2.0}};
   spec.low_battery_soc = 0.3;
   spec.low_battery_qos_slack = 0.9;
   spec.connectivity = {{300.0, 100.0}, {350.0, 100.0}, {600.0, 0.0}};
-  spec.base_harvest_mw = 1.0;
-  spec.harvest_events = {{500.0, 4.0}};
   const MissionForecast f = MissionForecast::from_spec(spec, kTBase);
 
   EXPECT_DOUBLE_EQ(f.qos_slack_at(0.0), 0.5);
   EXPECT_DOUBLE_EQ(f.qos_slack_at(60.0), 0.8);
   EXPECT_DOUBLE_EQ(f.qos_slack_at(100.0), 0.2);
-  EXPECT_DOUBLE_EQ(f.period_at(0.0), 20.0);
-  EXPECT_DOUBLE_EQ(f.period_at(210.0), 2.0);
-  EXPECT_DOUBLE_EQ(f.period_at(250.0), 20.0);  // burst over
   // Deadline: engine formula, low-battery relaxation below the threshold.
   EXPECT_DOUBLE_EQ(f.deadline_us_at(120.0, 1.0), kTBase * 1.2);
   EXPECT_DOUBLE_EQ(f.deadline_us_at(120.0, 0.1), kTBase * 1.9);
   // Overlapping windows merge; the zero-duration one contributes nothing.
   ASSERT_EQ(f.windows.size(), 1u);
-  EXPECT_TRUE(f.connected_at(320.0));
-  EXPECT_FALSE(f.connected_at(460.0));
+  EXPECT_DOUBLE_EQ(f.window_remaining_at(320.0), 130.0);
   EXPECT_DOUBLE_EQ(f.window_remaining_at(400.0), 50.0);
+  EXPECT_DOUBLE_EQ(f.window_remaining_at(460.0), -1.0);
   EXPECT_DOUBLE_EQ(f.window_remaining_at(200.0), -1.0);
-  EXPECT_DOUBLE_EQ(f.harvest_mw_at(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(f.harvest_mw_at(500.0), 4.0);
 }
 
 // ---- (e) One stateless planner, many threads ---------------------------

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -343,21 +342,13 @@ TEST(ScenarioFuzz, GoldenMissionReport) {
   EXPECT_NE(got.find(version_field), std::string::npos)
       << "report JSON must carry the current schema version";
 
-  const std::string path =
-      std::string(DAEDVFS_TEST_DATA_DIR) + "/mission_report_golden.json";
-  if (std::getenv("DAEDVFS_REGEN_GOLDEN") != nullptr) {
-    std::ofstream os(path, std::ios::binary);
-    os << got;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(is.good()) << "missing golden file " << path;
-  std::ostringstream want;
-  want << is.rdbuf();
-  EXPECT_NE(want.str().find(version_field), std::string::npos)
+  const std::optional<std::string> want =
+      golden_or_regen("mission_report_golden.json", got);
+  if (!want) GTEST_SKIP() << "regenerated mission_report_golden.json";
+  EXPECT_NE(want->find(version_field), std::string::npos)
       << "golden file pins schema version " << kMissionReportSchemaVersion
       << " — bump the constant and regenerate together";
-  EXPECT_EQ(want.str(), got)
+  EXPECT_EQ(*want, got)
       << "MissionReport JSON drifted from the golden schema. If the change "
          "is intentional, regenerate with DAEDVFS_REGEN_GOLDEN=1 (see file "
          "header).";

@@ -1,8 +1,8 @@
 // ScheduleServer tests: the serving determinism contract (cached answers
 // byte-identical to fresh resolves, batch reply stream byte-identical
 // across thread counts), the eviction bound, conservative quantization,
-// the LadderPolicy-mirroring fallback tiers, the exact-MCKP sidecar, and
-// the serve.* observability surface.
+// the fallback tiers and their equality with the LadderPolicy decision,
+// the exact-MCKP sidecar, and the serve.* observability surface.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -167,6 +167,10 @@ TEST(Serve, QuantizationIsConservative) {
   EXPECT_EQ(server.quantize({nan, 25.0, 1.0, 0, -1.0}).slack_cell, 0);
   EXPECT_EQ(server.quantize({0.1, nan, 1.0, 0, -1.0}).temp_cell, 16);
   EXPECT_EQ(server.quantize({0.1, 25.0, nan, 0, -1.0}).soc_band, 0);
+  // A NaN window is unknown: read as closing now, the tightest budget.
+  EXPECT_EQ(server.quantize({0.5, 25.0, 1.0, 0, nan}).slack_cell, 10);
+  EXPECT_EQ(server.quantize({0.5, 25.0, 1.0, 0, nan}).effective_cell, 0);
+  EXPECT_EQ(server.quantize({0.5, 25.0, 1.0, 3, nan}).effective_cell, 0);
   // So a NaN ambient gets the hottest grid ambient's (tightest) thermal cap.
   ScheduleServer derated(ladder(), kTBaseUs, eventful_config(), {}, 0.0);
   EXPECT_EQ(answer_json(derated.answer({0.5, nan, 1.0, 0, -1.0})),
@@ -231,6 +235,79 @@ TEST(Serve, FallbackTiersMirrorLadderPolicy) {
   a = empty.answer_fresh({0.1, 25.0, 1.0, 0, -1.0});
   EXPECT_FALSE(a.feasible);
   EXPECT_EQ(a.rung, -1);
+}
+
+TEST(Serve, AnswersEqualLadderPicks) {
+  // Differential: the server's rung, feasibility and shed hint are the
+  // LadderPolicy decision at the quantized cell values, on random ladders
+  // seeded with the boundary cases — equal-energy ties, equal peaks, and
+  // rungs sitting exactly on a grid deadline or a grid thermal cap.
+  std::mt19937 rng(20261017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> n_rungs(1, 7);
+  obs::MetricsRegistry mx;
+  obs::Sink sink{nullptr, &mx};
+  int infeasible = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    ServerConfig cfg;
+    cfg.derate = {25.0, 5.0, 216.0};
+    cfg.degraded.critical_soc = unit(rng) < 0.8 ? unit(rng) : 0.0;
+    cfg.degraded.miss_pressure = unit(rng) < 0.5 ? unit(rng) : 0.0;
+    cfg.degraded.max_skip = static_cast<std::uint32_t>(rng() % 6);
+    const StateGrid& g = cfg.grid;
+    std::vector<scenario::RungInfo> rungs;
+    const int n = n_rungs(rng);
+    for (int i = 0; i < n; ++i) {
+      double t = 700.0 + 1000.0 * unit(rng);
+      if (rng() % 3 == 0) {  // exactly on a grid deadline
+        t = kTBaseUs * (1.0 + g.slack_value(static_cast<int>(
+                                  rng() % static_cast<unsigned>(g.slack_cells))));
+      }
+      double e = 5.0 + 55.0 * unit(rng);
+      if (i > 0 && rng() % 4 == 0) e = rungs.back().e_uj;  // energy tie
+      double peak = 48.0 + 192.0 * unit(rng);
+      if (rng() % 3 == 0) {  // exactly on a grid thermal cap
+        peak = cfg.derate.max_sysclk_mhz(g.temp_value(static_cast<int>(
+            rng() % static_cast<unsigned>(g.temp_cells))));
+        if (peak <= 0.0) peak = 216.0;
+      }
+      if (i > 0 && rng() % 4 == 0) peak = rungs.back().peak_mhz();
+      rungs.push_back(rung("r", t, e, peak));
+    }
+    ScheduleServer server(rungs, kTBaseUs, cfg, {}, 0.0);
+    scenario::LadderPolicy policy(rungs, {}, {});
+    policy.set_sink(&sink);
+    for (int q = 0; q < 50; ++q) {
+      DeviceState s;
+      s.qos_slack = -0.1 + 0.8 * unit(rng);
+      s.ambient_c = -30.0 + 100.0 * unit(rng);
+      s.soc = unit(rng);
+      s.backlog = static_cast<std::uint32_t>(rng() % 13);
+      s.window_remaining_s = -1.0;
+      const ScheduleAnswer a = server.answer_fresh(s);
+      const QuantizedState cell = server.quantize(s);
+      scenario::FrameContext ctx;
+      ctx.deadline_us = kTBaseUs * (1.0 + g.slack_value(cell.slack_cell));
+      ctx.max_sysclk_mhz =
+          cfg.derate.max_sysclk_mhz(g.temp_value(cell.temp_cell));
+      ctx.backlog = s.backlog;
+      const std::uint64_t budget_before =
+          mx.counter("governor.tier_budget").value();
+      const std::uint64_t declared_before =
+          mx.counter("governor.tier_declared").value();
+      const int want = policy.choose(ctx, -1);
+      const bool want_feasible =
+          mx.counter("governor.tier_budget").value() > budget_before ||
+          mx.counter("governor.tier_declared").value() > declared_before;
+      ASSERT_EQ(a.rung, want) << "trial " << trial << " query " << q;
+      ASSERT_EQ(a.feasible, want_feasible) << "trial " << trial;
+      ASSERT_EQ(a.shed, policy.degraded_skip(g.soc_value(cell.soc_band), 0.0,
+                                             cfg.degraded))
+          << "trial " << trial;
+      if (!a.feasible) ++infeasible;
+    }
+  }
+  EXPECT_GT(infeasible, 0) << "the corpus must reach the fallback tiers";
 }
 
 TEST(Serve, ShedHintFollowsDegradedLadder) {
