@@ -1,18 +1,16 @@
 // Schedule-serving benchmark: a ScheduleServer built from a real governor
 // ladder (make_server) answering a seeded stream of device states, point
-// and batch. Emits BENCH_serve.json with the gates the PR's acceptance
-// criteria pin:
+// and batch. Emits BENCH_serve.json with these gates:
 //
-//   * cached_identical      — answers served from the cache are
-//                             byte-identical (answer_json) to fresh
-//                             resolves of the same state;
+//   * point_equals_batch    — the point-answer stream is byte-identical
+//                             (write_answers_json) to the 8-worker batch
+//                             reply stream over the same queries;
 //   * batch_thread_invariant — the batch reply stream is byte-identical
 //                             across 0/1/8-worker pools (preassigned reply
 //                             slots + per-call parallel_for tracking);
-//   * eviction_bounded      — a capacity-bounded server never exceeds its
-//                             configured cache bound and actually evicts;
-//   * cache_effective       — the seeded stream's hit rate clears a floor
-//                             (the stream revisits quantized cells);
+//   * single_sweep          — the server ran exactly one MCKP sweep
+//                             (dp_solves == 1, re-derived by
+//                             scripts/check_bench_gates.py);
 //   * dp_block_ok           — strip-blocking the MCKP DP inner loop is at
 //                             least break-even (full mode; smoke uses a
 //                             noise floor — scripts/check_bench_gates.py
@@ -84,15 +82,17 @@ serve::ServerConfig serve_config() {
   return cfg;
 }
 
-std::string batch_stream(serve::ScheduleServer& server,
+std::string answers_stream(const std::vector<serve::ScheduleAnswer>& answers) {
+  std::ostringstream os;
+  serve::write_answers_json(os, answers);
+  return os.str();
+}
+
+std::string batch_stream(const serve::ScheduleServer& server,
                          const std::vector<serve::DeviceState>& queries,
                          int workers) {
   util::ThreadPool pool(workers);
-  const std::vector<serve::ScheduleAnswer> replies =
-      server.answer_batch(queries, pool, 64);
-  std::ostringstream os;
-  serve::write_answers_json(os, replies);
-  return os.str();
+  return answers_stream(server.answer_batch(queries, pool, 64));
 }
 
 /// Large synthetic MCKP instance for the strip-blocking A/B: wide DP
@@ -157,31 +157,16 @@ int main(int argc, char** argv) {
   const std::size_t n_queries = smoke ? 5000 : 100000;
   const std::vector<serve::DeviceState> queries = make_queries(n_queries);
 
-  // ---- Point-query throughput: cold pass populates the cache, warm pass
-  // measures the steady serving state.
-  std::cout << "serve " << n_queries << " point queries (cold)...\n";
-  const auto t_cold = std::chrono::steady_clock::now();
+  // ---- Point-query throughput.
+  std::cout << "serve " << n_queries << " point queries...\n";
+  const auto t_point = std::chrono::steady_clock::now();
   for (const serve::DeviceState& q : queries) (void)server->answer(q);
-  const double cold_ms = wall_ms_since(t_cold);
-  const auto t_warm = std::chrono::steady_clock::now();
-  for (const serve::DeviceState& q : queries) (void)server->answer(q);
-  const double warm_ms = wall_ms_since(t_warm);
-  const serve::ScheduleServer::Stats point_stats = server->stats();
-
-  // ---- Identity gate: cached answers byte-equal fresh resolves.
-  bool cached_identical = true;
-  const std::size_t stride = std::max<std::size_t>(1, n_queries / 1000);
-  for (std::size_t i = 0; i < n_queries; i += stride) {
-    if (serve::answer_json(server->answer(queries[i])) !=
-        serve::answer_json(server->answer_fresh(queries[i]))) {
-      cached_identical = false;
-      break;
-    }
-  }
+  const double point_ms = wall_ms_since(t_point);
 
   // ---- Batch fan-out: byte-identical reply stream for 0/1/8 workers
-  // (fresh server per run — cache history must not matter either), plus
-  // throughput at 8 workers on the warmed main server.
+  // (a server of its own per run — construction must not matter either),
+  // equal to the point answers, plus throughput at 8 workers on the main
+  // server.
   std::cout << "serve batch invariance (0/1/8 workers)...\n";
   const std::string stream0 =
       batch_stream(*serve::make_server(governor, cfg), queries, 0);
@@ -190,6 +175,12 @@ int main(int argc, char** argv) {
   const std::string stream8 =
       batch_stream(*serve::make_server(governor, cfg), queries, 8);
   const bool batch_thread_invariant = stream0 == stream1 && stream1 == stream8;
+  std::vector<serve::ScheduleAnswer> point_replies;
+  point_replies.reserve(n_queries);
+  for (const serve::DeviceState& q : queries) {
+    point_replies.push_back(server->answer(q));
+  }
+  const bool point_equals_batch = answers_stream(point_replies) == stream8;
 
   util::ThreadPool pool8(8);
   const auto t_batch = std::chrono::steady_clock::now();
@@ -197,18 +188,8 @@ int main(int argc, char** argv) {
       server->answer_batch(queries, pool8, 64);
   const double batch_ms = wall_ms_since(t_batch);
   const bool batch_complete = batch_replies.size() == queries.size();
-
-  // ---- Eviction bound: a deliberately small cache must stay within its
-  // configured capacity while still serving correct (fresh-identical)
-  // answers.
-  serve::ServerConfig small_cfg = cfg;
-  small_cfg.cache_capacity = 256;
-  std::unique_ptr<serve::ScheduleServer> bounded =
-      serve::make_server(governor, small_cfg);
-  for (const serve::DeviceState& q : queries) (void)bounded->answer(q);
-  const bool eviction_bounded =
-      bounded->cache_size() <= small_cfg.cache_capacity &&
-      bounded->stats().evictions > 0;
+  const std::uint64_t dp_solves = server->stats().dp_solves;
+  const bool single_sweep = dp_solves == 1;
 
   // ---- DP strip-blocking A/B on a wide synthetic instance: flat loop
   // (one strip spanning the whole row) vs the default block size.
@@ -245,17 +226,8 @@ int main(int argc, char** argv) {
   const serve::ScheduleServer::Stats after = observed->stats();
   const bool metrics_match_stats =
       metrics.counter("serve.queries").value() == after.queries - before.queries &&
-      metrics.counter("serve.cache_hits").value() == after.hits - before.hits &&
-      metrics.counter("serve.cache_misses").value() ==
-          after.misses - before.misses &&
       metrics.counter("serve.dp_solves").value() ==
-          after.dp_solves - before.dp_solves &&
-      metrics.gauge("serve.cache_entries").value() ==
-          static_cast<double>(observed->cache_size());
-
-  // The seeded stream revisits quantized cells heavily; steady-state
-  // serving must be mostly hits.
-  const bool cache_effective = point_stats.hit_rate() >= 0.5;
+          after.dp_solves - before.dp_solves;
 
   const auto qps = [&](double ms) {
     return ms > 0.0 ? static_cast<double>(n_queries) / (ms * 1e-3) : 0.0;
@@ -268,24 +240,16 @@ int main(int argc, char** argv) {
      << "  \"model\": " << util::json_quoted(model.name()) << ",\n"
      << "  \"rungs\": " << server->rungs().size() << ",\n"
      << "  \"n_queries\": " << n_queries << ",\n"
-     << "  \"shards\": " << cfg.shards << ",\n"
-     << "  \"cache_capacity\": " << cfg.cache_capacity << ",\n"
      << "  \"ladder_ms\": " << ladder_ms << ",\n"
-     << "  \"point_cold\": {\n"
-     << "    \"wall_ms\": " << cold_ms << ",\n"
-     << "    \"queries_per_sec\": " << qps(cold_ms) << "\n"
-     << "  },\n"
-     << "  \"point_warm\": {\n"
-     << "    \"wall_ms\": " << warm_ms << ",\n"
-     << "    \"queries_per_sec\": " << qps(warm_ms) << "\n"
+     << "  \"point\": {\n"
+     << "    \"wall_ms\": " << point_ms << ",\n"
+     << "    \"queries_per_sec\": " << qps(point_ms) << "\n"
      << "  },\n"
      << "  \"batch8\": {\n"
      << "    \"wall_ms\": " << batch_ms << ",\n"
      << "    \"queries_per_sec\": " << qps(batch_ms) << "\n"
      << "  },\n"
-     << "  \"hit_rate\": " << point_stats.hit_rate() << ",\n"
-     << "  \"cache_entries\": " << server->cache_size() << ",\n"
-     << "  \"dp_solves\": " << point_stats.dp_solves << ",\n"
+     << "  \"dp_solves\": " << dp_solves << ",\n"
      << "  \"dp_block\": {\n"
      << "    \"classes\": " << dp_classes << ",\n"
      << "    \"items_per_class\": " << dp_items << ",\n"
@@ -296,14 +260,12 @@ int main(int argc, char** argv) {
      << "  },\n"
      << "  \"dp_block_speedup\": " << dp_block_speedup << ",\n"
      << "  \"dp_block_required\": " << dp_block_required << ",\n"
-     << "  \"cached_identical\": " << util::json_bool(cached_identical)
+     << "  \"point_equals_batch\": " << util::json_bool(point_equals_batch)
      << ",\n"
      << "  \"batch_thread_invariant\": "
      << util::json_bool(batch_thread_invariant) << ",\n"
      << "  \"batch_complete\": " << util::json_bool(batch_complete) << ",\n"
-     << "  \"eviction_bounded\": " << util::json_bool(eviction_bounded)
-     << ",\n"
-     << "  \"cache_effective\": " << util::json_bool(cache_effective) << ",\n"
+     << "  \"single_sweep\": " << util::json_bool(single_sweep) << ",\n"
      << "  \"dp_block_ok\": " << util::json_bool(dp_block_ok) << ",\n"
      << "  \"dp_block_identical\": " << util::json_bool(dp_block_identical)
      << ",\n"
@@ -311,12 +273,12 @@ int main(int argc, char** argv) {
      << "\n}\n";
   os.close();
 
-  const bool ok = cached_identical && batch_thread_invariant &&
-                  batch_complete && eviction_bounded && cache_effective &&
-                  dp_block_ok && dp_block_identical && metrics_match_stats;
-  std::cout << "point warm: " << qps(warm_ms) / 1e6 << " Mq/s, batch8: "
-            << qps(batch_ms) / 1e6 << " Mq/s, hit rate "
-            << point_stats.hit_rate() << "\n"
+  const bool ok = point_equals_batch && batch_thread_invariant &&
+                  batch_complete && single_sweep && dp_block_ok &&
+                  dp_block_identical && metrics_match_stats;
+  std::cout << "point: " << qps(point_ms) / 1e6 << " Mq/s, batch8: "
+            << qps(batch_ms) / 1e6 << " Mq/s, " << dp_solves
+            << " MCKP sweep(s)\n"
             << "dp blocking: " << flat_ms << " ms flat vs " << blocked_ms
             << " ms blocked (" << dp_block_speedup << "x, required "
             << dp_block_required << ") -> " << out_path << "\n";

@@ -26,8 +26,9 @@ disagree with the measurements it claims to summarize.
 
 For BENCH_serve.json it likewise re-derives the DP strip-blocking
 requirement from the recorded mode (bench_serve.cpp: break-even 1.0 in
-full mode, a 0.5 noise floor in smoke) and recomputes dp_block_ok from
-dp_block_speedup.
+full mode, a 0.5 noise floor in smoke), recomputes dp_block_ok from
+dp_block_speedup, and recomputes single_sweep from the raw dp_solves
+(exactly one MCKP sweep per server).
 
 For BENCH_scenario.json it re-derives the mission_v5 planner verdicts
 (planner_dominates_lateness / planner_dominates_availability) from the
@@ -103,6 +104,9 @@ def check_serve_derivations(doc):
             yield (f"dp_block_ok inconsistent with speedup "
                    f"{doc['dp_block_speedup']} vs required "
                    f"{doc['dp_block_required']}")
+        if doc["single_sweep"] != (int(doc["dp_solves"]) == 1):
+            yield (f"single_sweep inconsistent with dp_solves "
+                   f"{doc['dp_solves']} (must be exactly 1)")
     except (KeyError, TypeError, ValueError) as err:
         yield f"serve derivation fields missing/malformed ({err!r})"
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
+#include <stdexcept>
 
 #include "governor/governor.hpp"
 #include "obs/metrics.hpp"
@@ -13,17 +14,14 @@
 namespace daedvfs::serve {
 namespace {
 
-constexpr int kMaxCells = 4096;   // Grid key packs 16 bits per dimension.
-constexpr int kMaxShards = 256;
+constexpr int kMaxCells = 4096;
 
 int clamp_cells(int cells) { return std::clamp(cells, 1, kMaxCells); }
 
-/// splitmix64 finalizer — spreads the packed grid key across shards.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+void require_finite(double v, const char* field) {
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument(std::string(field) + ": not finite");
+  }
 }
 
 void append_double(std::string& out, const char* field, double v) {
@@ -122,26 +120,34 @@ void write_answers_json(std::ostream& os,
 ScheduleServer::ScheduleServer(std::vector<scenario::RungInfo> rungs,
                                double t_base_us, ServerConfig cfg,
                                mckp::Instance instance, double mckp_reserve_us)
-    : rungs_(std::move(rungs)),
-      t_base_us_(t_base_us),
-      cfg_(std::move(cfg)),
-      instance_(std::move(instance)),
-      mckp_reserve_us_(mckp_reserve_us < 0.0 ? 0.0 : mckp_reserve_us) {
+    : rungs_(std::move(rungs)), t_base_us_(t_base_us), cfg_(std::move(cfg)) {
+  // A non-finite bound or span would turn a grid step into NaN or inf, and
+  // the cell cast of a NaN is undefined behavior: reject it here.
+  const StateGrid& g = cfg_.grid;
+  require_finite(g.slack_min, "ServerConfig.grid.slack_min");
+  require_finite(g.slack_max, "ServerConfig.grid.slack_max");
+  require_finite(g.slack_max - g.slack_min,
+                 "ServerConfig.grid.slack_max - slack_min");
+  require_finite(g.temp_min, "ServerConfig.grid.temp_min");
+  require_finite(g.temp_max, "ServerConfig.grid.temp_max");
+  require_finite(g.temp_max - g.temp_min,
+                 "ServerConfig.grid.temp_max - temp_min");
+  require_finite(t_base_us_, "t_base_us");
+  if (t_base_us_ <= 0.0) {
+    throw std::invalid_argument("t_base_us: not positive");
+  }
   cfg_.grid.slack_cells = clamp_cells(cfg_.grid.slack_cells);
   cfg_.grid.temp_cells = clamp_cells(cfg_.grid.temp_cells);
   cfg_.grid.soc_bands = clamp_cells(cfg_.grid.soc_bands);
-  cfg_.shards = std::clamp(cfg_.shards, 1, kMaxShards);
-  capacities_.reserve(static_cast<std::size_t>(cfg_.grid.slack_cells));
-  for (int c = 0; c < cfg_.grid.slack_cells; ++c) {
-    capacities_.push_back(std::max(0.0, deadline_us(c) - mckp_reserve_us_));
-  }
-  if (cfg_.cache_capacity > 0) {
-    shard_capacity_ = std::max<std::size_t>(
-        1, cfg_.cache_capacity / static_cast<std::size_t>(cfg_.shards));
-  }
-  shards_.reserve(static_cast<std::size_t>(cfg_.shards));
-  for (int s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+  if (!instance.classes.empty()) {
+    const double reserve_us = mckp_reserve_us < 0.0 ? 0.0 : mckp_reserve_us;
+    std::vector<double> capacities;
+    capacities.reserve(static_cast<std::size_t>(cfg_.grid.slack_cells));
+    for (int c = 0; c < cfg_.grid.slack_cells; ++c) {
+      capacities.push_back(std::max(0.0, deadline_us(c) - reserve_us));
+    }
+    mckp::DpWorkspace ws;
+    sweep_ = mckp::solve_dp_sweep(instance, capacities, cfg_.mckp_ticks, ws);
   }
 }
 
@@ -169,13 +175,7 @@ QuantizedState ScheduleServer::quantize(const DeviceState& state) const {
   return q;
 }
 
-ScheduleServer::Shard& ScheduleServer::shard_of(std::uint64_t key) {
-  const std::size_t idx = static_cast<std::size_t>(
-      mix(key) % static_cast<std::uint64_t>(shards_.size()));
-  return *shards_[idx];
-}
-
-ScheduleAnswer ScheduleServer::resolve(const QuantizedState& q, Shard& shard) {
+ScheduleAnswer ScheduleServer::resolve(const QuantizedState& q) const {
   ScheduleAnswer a;
   a.deadline_us = deadline_us(q.effective_cell);
   a.cap_mhz = cfg_.derate.max_sysclk_mhz(cfg_.grid.temp_value(q.temp_cell));
@@ -198,58 +198,28 @@ ScheduleAnswer ScheduleServer::resolve(const QuantizedState& q, Shard& shard) {
   a.shed = scenario::shed_for(cfg_.grid.soc_value(q.soc_band), 0.0,
                               cfg_.degraded);
 
-  // Exact per-layer MCKP at the cell deadline, from the per-shard memoized
-  // sweep (one solve_dp_sweep over the whole deadline ladder per shard,
-  // shard.mu held by the caller).
-  if (!instance_.classes.empty()) {
-    if (!shard.sweep_ready) {
-      shard.sweep =
-          mckp::solve_dp_sweep(instance_, capacities_, cfg_.mckp_ticks,
-                               shard.ws);
-      shard.sweep_ready = true;
-      dp_solves_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const auto cell = static_cast<std::size_t>(q.effective_cell);
-    if (cell < shard.sweep.size() && shard.sweep[cell].feasible) {
-      a.exact_feasible = true;
-      a.exact_t_us = shard.sweep[cell].total_weight;
-      a.exact_e_uj = shard.sweep[cell].total_value;
-    }
+  // Exact per-layer MCKP at the cell deadline, from the constructor's sweep.
+  const auto cell = static_cast<std::size_t>(q.effective_cell);
+  if (cell < sweep_.size() && sweep_[cell].feasible) {
+    a.exact_feasible = true;
+    a.exact_t_us = sweep_[cell].total_weight;
+    a.exact_e_uj = sweep_[cell].total_value;
   }
   return a;
 }
 
-ScheduleAnswer ScheduleServer::answer(const DeviceState& state) {
-  const QuantizedState q = quantize(state);
-  const std::uint64_t key = q.key();
-  Shard& shard = shard_of(key);
+ScheduleAnswer ScheduleServer::answer(const DeviceState& state) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.cache.find(key);
-  if (it != shard.cache.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  const ScheduleAnswer a = resolve(q, shard);
-  if (shard_capacity_ > 0 && shard.cache.size() >= shard_capacity_) {
-    shard.cache.erase(shard.cache.begin());
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.cache.emplace(key, a);
-  return a;
+  return resolve(quantize(state));
 }
 
-ScheduleAnswer ScheduleServer::answer_fresh(const DeviceState& state) {
-  const QuantizedState q = quantize(state);
-  Shard& shard = shard_of(q.key());
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return resolve(q, shard);
+ScheduleAnswer ScheduleServer::answer_fresh(const DeviceState& state) const {
+  return answer(state);
 }
 
 std::vector<ScheduleAnswer> ScheduleServer::answer_batch(
     const std::vector<DeviceState>& queries, util::ThreadPool& pool,
-    std::int64_t chunk, obs::Sink* sink) {
+    std::int64_t chunk, obs::Sink* sink) const {
   const bool host_span = sink != nullptr && sink->trace != nullptr;
   const double wall_start_us = host_span ? obs::host_now_us() : 0.0;
   const Stats before = stats();
@@ -258,10 +228,13 @@ std::vector<ScheduleAnswer> ScheduleServer::answer_batch(
   pool.parallel_for(static_cast<std::int64_t>(queries.size()), chunk,
                     [&](std::int64_t begin, std::int64_t end) {
                       for (std::int64_t i = begin; i < end; ++i) {
-                        out[static_cast<std::size_t>(i)] =
-                            answer(queries[static_cast<std::size_t>(i)]);
+                        out[static_cast<std::size_t>(i)] = resolve(
+                            quantize(queries[static_cast<std::size_t>(i)]));
                       }
                     });
+  // One counter update per batch, not per query: the workers share no
+  // cache line while they answer.
+  queries_.fetch_add(queries.size(), std::memory_order_relaxed);
 
   // Observability (docs/observability.md): this batch's serve.* deltas plus
   // a wall-clock span on the host track. Purely observational — replies are
@@ -270,18 +243,12 @@ std::vector<ScheduleAnswer> ScheduleServer::answer_batch(
     const Stats after = stats();
     if (obs::MetricsRegistry* mx = sink->metrics) {
       mx->counter("serve.queries").add(after.queries - before.queries);
-      mx->counter("serve.cache_hits").add(after.hits - before.hits);
-      mx->counter("serve.cache_misses").add(after.misses - before.misses);
-      mx->counter("serve.cache_evictions")
-          .add(after.evictions - before.evictions);
       mx->counter("serve.dp_solves").add(after.dp_solves - before.dp_solves);
-      mx->gauge("serve.cache_entries").set(static_cast<double>(cache_size()));
     }
     if (obs::TraceRecorder* tr = sink->trace) {
       tr->complete(obs::Track::kHost, "serve_batch", wall_start_us,
                    obs::host_now_us() - wall_start_us, "queries",
-                   static_cast<double>(queries.size()), "hits",
-                   static_cast<double>(after.hits - before.hits));
+                   static_cast<double>(queries.size()));
     }
   }
   return out;
@@ -290,20 +257,8 @@ std::vector<ScheduleAnswer> ScheduleServer::answer_batch(
 ScheduleServer::Stats ScheduleServer::stats() const {
   Stats s;
   s.queries = queries_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.dp_solves = dp_solves_.load(std::memory_order_relaxed);
+  s.dp_solves = sweep_.empty() ? 0 : 1;
   return s;
-}
-
-std::size_t ScheduleServer::cache_size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->cache.size();
-  }
-  return n;
 }
 
 std::unique_ptr<ScheduleServer> make_server(

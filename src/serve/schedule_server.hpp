@@ -1,43 +1,40 @@
-// Schedule-serving layer (DSE as a service): a thread-safe, long-running
-// ScheduleServer that answers "best schedule for my current state" queries
-// against a precomputed governor ladder — the ROADMAP north-star query of
-// millions of devices phoning home with their (QoS slack, ambient
-// temperature, SoC, link) state.
+// Schedule-serving layer (DSE as a service): a ScheduleServer that answers
+// "best schedule for my current state" queries against a precomputed
+// governor ladder — the ROADMAP north-star query of millions of devices
+// phoning home with their (QoS slack, ambient temperature, SoC, link) state.
 //
-// Query path:
+// Query path, the same for every query:
 //   1. Quantize the raw DeviceState onto the configurable StateGrid
 //      (conservative rounding: slack floors to the tighter cell, ambient
 //      ceils to the hotter cell, SoC floors to the emptier band, the
 //      backlog/window link state tightens the deadline cell — a quantized
 //      answer is always safe for the true state).
-//   2. Probe the sharded, eviction-bounded answer cache (the
-//      dse::ProfileCache capacity/eviction + relaxed atomic-stats idioms).
-//   3. On miss, resolve fresh: run the shared decision rule
-//      (scenario::pick_rung, zero-cost wake pricing) at the cell deadline
-//      and the cell temperature's thermal cap, and — when the
-//      server holds the governor's per-layer mckp::Instance — read the
-//      exact MCKP answer at the cell deadline from a per-shard memoized
-//      mckp::solve_dp_sweep over the whole deadline ladder (one DP pass per
-//      shard, per-shard DpWorkspace, no cross-shard synchronization).
+//   2. Resolve: run the shared decision rule (scenario::pick_rung,
+//      zero-cost wake pricing) at the cell deadline and the cell
+//      temperature's thermal cap, and — when the server holds the
+//      governor's per-layer mckp::Instance — read the exact MCKP answer at
+//      the cell deadline from the one mckp::solve_dp_sweep over the whole
+//      deadline ladder that the constructor ran.
+//
+// The server is immutable after construction: the query methods are const,
+// take no lock and touch no shared state besides a relaxed query counter,
+// so any number of threads may query one server concurrently.
 //
 // Determinism contract (docs/serving.md): an answer is a pure function of
-// (config, ladder, instance, quantized state) — independent of query order,
-// cache occupancy, eviction history, and thread count. Cached answers are
-// therefore byte-identical to fresh resolves, and the batch API — which
-// fans out over util::ThreadPool::parallel_for into preassigned reply
-// slots — emits a byte-identical reply stream for any thread count
-// (bench_serve gates both). Batch queries may run from a task already on
-// the pool: parallel_for completion is tracked per call, so fleet
-// simulation and serving can share one pool.
+// (config, ladder, instance, quantized state) — independent of query order
+// and thread count. The batch API fans out over
+// util::ThreadPool::parallel_for into preassigned reply slots and emits a
+// byte-identical reply stream for any thread count (bench_serve gates it).
+// Batch queries may run from a task already on the pool: parallel_for
+// completion is tracked per call, so fleet simulation and serving can share
+// one pool.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mckp/mckp.hpp"
@@ -64,8 +61,8 @@ struct DeviceState {
 };
 
 /// Quantization grid the server collapses raw states onto. Cell counts are
-/// clamped to [1, 4096] at server construction (the key packs each
-/// dimension into 16 bits).
+/// clamped to [1, 4096] at server construction; a non-finite bound or span
+/// is rejected there (std::invalid_argument naming the field).
 struct StateGrid {
   double slack_min = 0.0;
   double slack_max = 0.5;
@@ -95,31 +92,22 @@ struct StateGrid {
   [[nodiscard]] double soc_value(int band) const;
 };
 
-/// A device state quantized onto the grid — the answer-cache key domain.
-/// `effective_cell <= slack_cell`: the deadline cell after the link state
-/// (scenario::catchup_budget_us) tightened the declared cell, floored at
-/// cell 0.
+/// A device state quantized onto the grid — the domain answers are a pure
+/// function of. `effective_cell <= slack_cell`: the deadline cell after the
+/// link state (scenario::catchup_budget_us) tightened the declared cell,
+/// floored at cell 0.
 struct QuantizedState {
   int slack_cell = 0;
   int effective_cell = 0;
   int temp_cell = 0;
   int soc_band = 0;
 
-  [[nodiscard]] std::uint64_t key() const {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(slack_cell))
-            << 48) |
-           (static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(effective_cell))
-            << 32) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(temp_cell))
-            << 16) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(soc_band));
-  }
+  bool operator==(const QuantizedState&) const = default;
 };
 
 /// One served answer. Pure function of (server config, ladder, instance,
-/// quantized state); contains nothing host- or cache-dependent, so cached
-/// and fresh copies are byte-identical through answer_json().
+/// quantized state); contains nothing host-dependent, so two states in the
+/// same cell get byte-identical answer_json().
 struct ScheduleAnswer {
   /// Some thermally eligible rung met the effective deadline (tier 1/2 of
   /// the fallback ladder). false = the served rung will miss (tier 3) or
@@ -141,7 +129,7 @@ struct ScheduleAnswer {
 };
 
 /// One-line JSON object of an answer. Locale-independent "%.9g" doubles —
-/// the byte format the cached-equals-fresh and thread-invariance gates
+/// the byte format the point-equals-batch and thread-invariance gates
 /// compare.
 [[nodiscard]] std::string answer_json(const ScheduleAnswer& a);
 
@@ -158,18 +146,8 @@ struct ServerConfig {
   /// Degraded-mode ladder for the shed hint (scenario::shed_for at the band
   /// SoC with zero miss pressure). Default: disabled.
   scenario::DegradedModeSpec degraded;
-  /// DP width of the memoized per-shard MCKP sweep.
+  /// DP width of the MCKP sweep the constructor runs.
   int mckp_ticks = 4096;
-  /// Answer-cache shards (clamped to [1, 256]). Each shard owns its own
-  /// mutex, answer map, DpWorkspace and memoized sweep — no cross-shard
-  /// synchronization; the bounded duplication (<= shards DP passes) buys
-  /// lock-local misses.
-  int shards = 8;
-  /// Total answer-cache bound, split evenly across shards (floored at one
-  /// entry per shard); 0 = unbounded. When a shard is full, inserting a new
-  /// key evicts an arbitrary resident entry (dse::ProfileCache idiom) —
-  /// correctness is unaffected (a miss just re-resolves), only hit rate.
-  std::size_t cache_capacity = 4096;
 };
 
 class ScheduleServer {
@@ -179,7 +157,9 @@ class ScheduleServer {
   /// optional per-layer MCKP instance behind the ladder
   /// (governor.mckp_instance()) enabling the exact re-solve;
   /// `mckp_reserve_us` is the deadline -> capacity reserve
-  /// (governor.mckp_reserve_us()).
+  /// (governor.mckp_reserve_us()). Throws std::invalid_argument naming the
+  /// field for a non-finite grid bound or span, or a non-finite or
+  /// non-positive `t_base_us`.
   ScheduleServer(std::vector<scenario::RungInfo> rungs, double t_base_us,
                  ServerConfig cfg = {}, mckp::Instance instance = {},
                  double mckp_reserve_us = 0.0);
@@ -187,29 +167,25 @@ class ScheduleServer {
   ScheduleServer(const ScheduleServer&) = delete;
   ScheduleServer& operator=(const ScheduleServer&) = delete;
 
-  /// Relaxed-atomic counter snapshot (ProfileCache::Stats idiom) — safe to
-  /// take while queries run; observability only, never an answer input.
+  /// Counter snapshot — safe to take while queries run; observability only,
+  /// never an answer input.
   struct Stats {
     std::uint64_t queries = 0;
+    /// Always 0: the server keeps no answer cache. Kept only for callers
+    /// that still read it.
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    /// Always 0, like `hits`.
     std::uint64_t evictions = 0;
+    /// MCKP sweeps run: 1 with an instance (in the constructor), else 0.
     std::uint64_t dp_solves = 0;
-    [[nodiscard]] double hit_rate() const {
-      const std::uint64_t total = hits + misses;
-      return total ? static_cast<double>(hits) / static_cast<double>(total)
-                   : 0.0;
-    }
   };
 
-  /// Point query: quantize, probe the shard cache, resolve on miss.
-  /// Thread-safe.
-  [[nodiscard]] ScheduleAnswer answer(const DeviceState& state);
+  /// Point query: resolve(quantize(state)). Thread-safe, lock-free.
+  [[nodiscard]] ScheduleAnswer answer(const DeviceState& state) const;
 
-  /// Resolves without reading or writing the answer cache (the memoized
-  /// per-shard DP sweep is still used — it is state-independent). The
-  /// cached-equals-fresh identity gate compares answer() against this.
-  [[nodiscard]] ScheduleAnswer answer_fresh(const DeviceState& state);
+  /// The same computation as answer(); kept only for callers that still
+  /// name it.
+  [[nodiscard]] ScheduleAnswer answer_fresh(const DeviceState& state) const;
 
   /// Batch query: fans the queries out via pool.parallel_for into
   /// preassigned reply slots — reply stream byte-identical across thread
@@ -218,16 +194,11 @@ class ScheduleServer {
   /// serve.* metric deltas and a kHost "serve_batch" span.
   [[nodiscard]] std::vector<ScheduleAnswer> answer_batch(
       const std::vector<DeviceState>& queries, util::ThreadPool& pool,
-      std::int64_t chunk = 64, obs::Sink* sink = nullptr);
+      std::int64_t chunk = 64, obs::Sink* sink = nullptr) const;
 
   [[nodiscard]] QuantizedState quantize(const DeviceState& state) const;
 
   [[nodiscard]] Stats stats() const;
-  /// Resident answers summed over shards (locks each shard briefly).
-  [[nodiscard]] std::size_t cache_size() const;
-  [[nodiscard]] std::size_t cache_capacity() const {
-    return cfg_.cache_capacity;
-  }
   [[nodiscard]] const std::vector<scenario::RungInfo>& rungs() const {
     return rungs_;
   }
@@ -235,34 +206,17 @@ class ScheduleServer {
   [[nodiscard]] double t_base_us() const { return t_base_us_; }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, ScheduleAnswer> cache;
-    mckp::DpWorkspace ws;
-    std::vector<mckp::Solution> sweep;  ///< Memoized, lazily built once.
-    bool sweep_ready = false;
-  };
-
-  [[nodiscard]] Shard& shard_of(std::uint64_t key);
-  /// Pure resolve at a quantized state; `shard.mu` must be held (uses the
-  /// shard's workspace/memo).
-  [[nodiscard]] ScheduleAnswer resolve(const QuantizedState& q, Shard& shard);
+  /// The answer at a quantized state: a pure function of it.
+  [[nodiscard]] ScheduleAnswer resolve(const QuantizedState& q) const;
   [[nodiscard]] double deadline_us(int cell) const;
 
   std::vector<scenario::RungInfo> rungs_;
   double t_base_us_ = 0.0;
   ServerConfig cfg_;
-  mckp::Instance instance_;
-  double mckp_reserve_us_ = 0.0;
-  std::vector<double> capacities_;  ///< MCKP capacity per slack cell.
-  std::size_t shard_capacity_ = 0;  ///< Per-shard cache bound; 0 unbounded.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Exact MCKP answer per slack cell; empty without an instance.
+  std::vector<mckp::Solution> sweep_;
 
   mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> dp_solves_{0};
 };
 
 /// Convenience: a server over a built governor — copies the rung ladder,

@@ -1,11 +1,12 @@
-// ScheduleServer tests: the serving determinism contract (cached answers
-// byte-identical to fresh resolves, batch reply stream byte-identical
-// across thread counts), the eviction bound, conservative quantization,
-// the fallback tiers and their equality with the LadderPolicy decision,
-// the exact-MCKP sidecar, and the serve.* observability surface.
+// ScheduleServer tests: the serving determinism contract (an answer depends
+// only on the quantized cell, batch reply stream byte-identical across
+// thread counts), conservative quantization, rejection of a non-finite
+// config, the fallback tiers and their equality with the LadderPolicy
+// decision, the exact-MCKP sidecar, and the serve.* observability surface.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <random>
 #include <sstream>
 #include <string>
@@ -72,22 +73,34 @@ ServerConfig eventful_config() {
   return cfg;
 }
 
-TEST(Serve, CachedAnswerIsByteIdenticalToFresh) {
+TEST(Serve, AnswerDependsOnlyOnTheCell) {
   ScheduleServer server(ladder(), kTBaseUs, eventful_config(),
                         small_instance(), 100.0);
   std::mt19937 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const StateGrid& g = server.config().grid;
+  const double slack_step =
+      (g.slack_max - g.slack_min) / static_cast<double>(g.slack_cells - 1);
+  const double temp_step =
+      (g.temp_max - g.temp_min) / static_cast<double>(g.temp_cells - 1);
+  int moved = 0;
   for (int i = 0; i < 300; ++i) {
     const DeviceState s = random_state(rng);
-    const ScheduleAnswer first = server.answer(s);   // populates the cache
-    const ScheduleAnswer cached = server.answer(s);  // served from it
-    const ScheduleAnswer fresh = server.answer_fresh(s);
-    EXPECT_EQ(answer_json(first), answer_json(fresh)) << "query " << i;
-    EXPECT_EQ(answer_json(cached), answer_json(fresh)) << "query " << i;
+    // A second raw state nudged inside the first one's cell: slack up from
+    // its floor, ambient down from its ceiling, SoC up from its band edge.
+    const QuantizedState q = server.quantize(s);
+    DeviceState t = s;
+    t.qos_slack = g.slack_value(q.slack_cell) + 0.5 * slack_step * unit(rng);
+    t.ambient_c = g.temp_value(q.temp_cell) - 0.5 * temp_step * unit(rng);
+    t.soc = g.soc_value(q.soc_band) +
+            0.5 * unit(rng) / static_cast<double>(g.soc_bands);
+    if (server.quantize(t) != q) continue;  // left the cell at a clamp
+    if (t.qos_slack != s.qos_slack || t.ambient_c != s.ambient_c) ++moved;
+    const std::string want = answer_json(server.answer(s));
+    EXPECT_EQ(answer_json(server.answer(t)), want) << "query " << i;
+    EXPECT_EQ(answer_json(server.answer(s)), want) << "query " << i;
   }
-  EXPECT_GT(server.stats().hits, 0u);
-  EXPECT_GT(server.stats().misses, 0u);
-  EXPECT_EQ(server.stats().queries,
-            server.stats().hits + server.stats().misses);
+  EXPECT_GT(moved, 200) << "most pairs must be distinct raw states";
 }
 
 TEST(Serve, BatchReplyStreamIsThreadCountInvariant) {
@@ -122,26 +135,6 @@ TEST(Serve, BatchReplyStreamIsThreadCountInvariant) {
     std::getline(lines, line);
     if (!line.empty() && line.back() == ',') line.pop_back();
     EXPECT_EQ(line, "  " + answer_json(point.answer(q)));
-  }
-}
-
-TEST(Serve, EvictionBoundHolds) {
-  ServerConfig cfg = eventful_config();
-  cfg.shards = 4;
-  cfg.cache_capacity = 16;  // 4 entries per shard
-  ScheduleServer server(ladder(), kTBaseUs, cfg, {}, 0.0);
-  std::mt19937 rng(23);
-  std::vector<DeviceState> states;
-  for (int i = 0; i < 800; ++i) {
-    const DeviceState s = random_state(rng);
-    states.push_back(s);
-    (void)server.answer(s);
-    EXPECT_LE(server.cache_size(), cfg.cache_capacity);
-  }
-  EXPECT_GT(server.stats().evictions, 0u);
-  // Eviction affects only hit rate, never bytes: re-query everything.
-  for (const DeviceState& s : states) {
-    EXPECT_EQ(answer_json(server.answer(s)), answer_json(server.answer_fresh(s)));
   }
 }
 
@@ -191,7 +184,7 @@ TEST(Serve, BacklogTightensEffectiveCell) {
   s.backlog = 100;
   DeviceState capped = s;
   capped.backlog = 8;
-  EXPECT_EQ(server.quantize(s).key(), server.quantize(capped).key());
+  EXPECT_EQ(server.quantize(s), server.quantize(capped));
   // A budget below the fastest deadline floors at cell 0.
   s.window_remaining_s = 0.0001;
   EXPECT_EQ(server.quantize(s).effective_cell, 0);
@@ -203,7 +196,7 @@ TEST(Serve, FallbackTiersMirrorLadderPolicy) {
   ScheduleServer server(ladder(), kTBaseUs, cfg, {}, 0.0);
 
   // Tier 1: cool cell, wide deadline -> min-energy rung under it (slow).
-  ScheduleAnswer a = server.answer_fresh({0.5, 20.0, 1.0, 0, -1.0});
+  ScheduleAnswer a = server.answer({0.5, 20.0, 1.0, 0, -1.0});
   EXPECT_TRUE(a.feasible);
   EXPECT_EQ(a.rung, 2);
   EXPECT_DOUBLE_EQ(a.rung_e_uj, 20.0);
@@ -211,7 +204,7 @@ TEST(Serve, FallbackTiersMirrorLadderPolicy) {
   // Tier 2: ambient 30 -> cap 166 MHz excludes "fast"; the backlog budget
   // tightens the effective deadline to 1000us, which no eligible rung
   // meets; dropping the budget, "slow" meets the declared 1500us.
-  a = server.answer_fresh({0.5, 30.0, 1.0, 9, 0.005});
+  a = server.answer({0.5, 30.0, 1.0, 9, 0.005});
   EXPECT_TRUE(a.feasible);
   EXPECT_EQ(a.rung, 2);
   EXPECT_DOUBLE_EQ(a.deadline_us, 1000.0);
@@ -219,22 +212,74 @@ TEST(Serve, FallbackTiersMirrorLadderPolicy) {
   // Tier 3: declared deadline 1000us, "fast" thermally excluded -> no
   // eligible rung meets any deadline; serve the fastest eligible (mid) and
   // flag the miss.
-  a = server.answer_fresh({0.0, 30.0, 1.0, 0, -1.0});
+  a = server.answer({0.0, 30.0, 1.0, 0, -1.0});
   EXPECT_FALSE(a.feasible);
   EXPECT_EQ(a.rung, 1);
   EXPECT_GT(a.cap_mhz, 0.0);
 
   // Tier 4: hot enough that the cap excludes every rung -> coolest rung,
   // infeasible.
-  a = server.answer_fresh({0.5, 60.0, 1.0, 0, -1.0});
+  a = server.answer({0.5, 60.0, 1.0, 0, -1.0});
   EXPECT_FALSE(a.feasible);
   EXPECT_EQ(a.rung, 2);
 
   // Empty ladder: answered, flagged, no crash.
   ScheduleServer empty({}, kTBaseUs, {}, {}, 0.0);
-  a = empty.answer_fresh({0.1, 25.0, 1.0, 0, -1.0});
+  a = empty.answer({0.1, 25.0, 1.0, 0, -1.0});
   EXPECT_FALSE(a.feasible);
   EXPECT_EQ(a.rung, -1);
+
+  // No instance, no MCKP sweep; with one, exactly one, run by the
+  // constructor before any query.
+  EXPECT_EQ(server.stats().dp_solves, 0u);
+  ScheduleServer exact(ladder(), kTBaseUs, cfg, small_instance(), 0.0);
+  EXPECT_EQ(exact.stats().dp_solves, 1u);
+  for (int i = 0; i < 50; ++i) {
+    (void)exact.answer({0.01 * i, 25.0, 1.0, 0, -1.0});
+  }
+  EXPECT_EQ(exact.stats().dp_solves, 1u);
+}
+
+TEST(Serve, RejectsNonFiniteConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto message = [](const ServerConfig& cfg, double t_base_us) {
+    try {
+      ScheduleServer server(ladder(), t_base_us, cfg, {}, 0.0);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  ServerConfig cfg;
+  cfg.grid.slack_max = nan;
+  EXPECT_EQ(message(cfg, kTBaseUs), "ServerConfig.grid.slack_max: not finite");
+  cfg = {};
+  cfg.grid.slack_min = -inf;
+  EXPECT_EQ(message(cfg, kTBaseUs), "ServerConfig.grid.slack_min: not finite");
+  cfg = {};
+  cfg.grid.temp_min = -inf;
+  EXPECT_EQ(message(cfg, kTBaseUs), "ServerConfig.grid.temp_min: not finite");
+  cfg = {};
+  cfg.grid.temp_max = nan;
+  EXPECT_EQ(message(cfg, kTBaseUs), "ServerConfig.grid.temp_max: not finite");
+  // Finite bounds whose span overflows make the grid step infinite.
+  cfg = {};
+  cfg.grid.slack_min = -1e308;
+  cfg.grid.slack_max = 1e308;
+  EXPECT_EQ(message(cfg, kTBaseUs),
+            "ServerConfig.grid.slack_max - slack_min: not finite");
+  cfg = {};
+  cfg.grid.temp_min = -1e308;
+  cfg.grid.temp_max = 1e308;
+  EXPECT_EQ(message(cfg, kTBaseUs),
+            "ServerConfig.grid.temp_max - temp_min: not finite");
+  cfg = {};
+  EXPECT_EQ(message(cfg, nan), "t_base_us: not finite");
+  EXPECT_EQ(message(cfg, inf), "t_base_us: not finite");
+  EXPECT_EQ(message(cfg, 0.0), "t_base_us: not positive");
+  EXPECT_EQ(message(cfg, -5.0), "t_base_us: not positive");
+  EXPECT_EQ(message(cfg, kTBaseUs), "accepted");
 }
 
 TEST(Serve, AnswersEqualLadderPicks) {
@@ -316,23 +361,23 @@ TEST(Serve, ShedHintFollowsDegradedLadder) {
   cfg.degraded.max_skip = 4;
   ScheduleServer server(ladder(), kTBaseUs, cfg, {}, 0.0);
   // Band 0 (repr. SoC 0.0): full severity -> max_skip.
-  EXPECT_EQ(server.answer_fresh({0.1, 25.0, 0.1, 0, -1.0}).shed, 4u);
+  EXPECT_EQ(server.answer({0.1, 25.0, 0.1, 0, -1.0}).shed, 4u);
   // Band 1 (repr. SoC 0.25): severity 0.5 -> ceil(0.5 * 4) = 2.
-  EXPECT_EQ(server.answer_fresh({0.1, 25.0, 0.3, 0, -1.0}).shed, 2u);
+  EXPECT_EQ(server.answer({0.1, 25.0, 0.3, 0, -1.0}).shed, 2u);
   // Healthy band: no shedding.
-  EXPECT_EQ(server.answer_fresh({0.1, 25.0, 0.9, 0, -1.0}).shed, 0u);
+  EXPECT_EQ(server.answer({0.1, 25.0, 0.9, 0, -1.0}).shed, 0u);
   // Disabled spec: never sheds.
   ScheduleServer off(ladder(), kTBaseUs, {}, {}, 0.0);
-  EXPECT_EQ(off.answer_fresh({0.1, 25.0, 0.0, 0, -1.0}).shed, 0u);
+  EXPECT_EQ(off.answer({0.1, 25.0, 0.0, 0, -1.0}).shed, 0u);
 }
 
 TEST(Serve, ExactSidecarMatchesDirectSweep) {
   const double reserve = 100.0;
   ServerConfig cfg;
   ScheduleServer server(ladder(), kTBaseUs, cfg, small_instance(), reserve);
-  // The server memoizes ONE sweep over the whole deadline ladder; its
-  // answer at cell c must equal a direct solve_dp_sweep over the same
-  // capacity ladder read at index c.
+  // The server runs ONE sweep over the whole deadline ladder; its answer at
+  // cell c must equal a direct solve_dp_sweep over the same capacity ladder
+  // read at index c.
   std::vector<double> caps;
   for (int c = 0; c < cfg.grid.slack_cells; ++c) {
     const double deadline = kTBaseUs * (1.0 + cfg.grid.slack_value(c));
@@ -343,17 +388,15 @@ TEST(Serve, ExactSidecarMatchesDirectSweep) {
       mckp::solve_dp_sweep(small_instance(), caps, cfg.mckp_ticks, ws);
   for (int c = 0; c < cfg.grid.slack_cells; ++c) {
     const double slack = cfg.grid.slack_value(c);
-    const ScheduleAnswer a = server.answer_fresh({slack, 25.0, 1.0, 0, -1.0});
+    const ScheduleAnswer a = server.answer({slack, 25.0, 1.0, 0, -1.0});
     const auto cell = static_cast<std::size_t>(c);
     ASSERT_EQ(a.exact_feasible, expect[cell].feasible) << "cell " << c;
     if (!a.exact_feasible) continue;
     EXPECT_EQ(a.exact_t_us, expect[cell].total_weight) << "cell " << c;
     EXPECT_EQ(a.exact_e_uj, expect[cell].total_value) << "cell " << c;
   }
-  // The memoized sweep ran on at most one shard per distinct key shard —
-  // never once per query.
-  EXPECT_LE(server.stats().dp_solves,
-            static_cast<std::uint64_t>(cfg.shards));
+  // That sweep ran once, never once per query.
+  EXPECT_EQ(server.stats().dp_solves, 1u);
 }
 
 TEST(Serve, BatchPublishesServeMetrics) {
@@ -367,19 +410,14 @@ TEST(Serve, BatchPublishesServeMetrics) {
   util::ThreadPool pool(2);
   (void)server.answer_batch(queries, pool, 16, &sink);
   EXPECT_EQ(metrics.counter("serve.queries").value(), 200u);
-  EXPECT_EQ(metrics.counter("serve.cache_hits").value() +
-                metrics.counter("serve.cache_misses").value(),
-            200u);
-  EXPECT_EQ(metrics.gauge("serve.cache_entries").value(),
-            static_cast<double>(server.cache_size()));
-  // A second batch publishes only its own delta — and with every key now
-  // resident it is all hits.
-  const std::uint64_t hits_after_first =
-      metrics.counter("serve.cache_hits").value();
+  EXPECT_EQ(metrics.counter("serve.dp_solves").value(), 0u);
+  // A second batch publishes only its own delta; the constructor's sweep
+  // is the only one, so no batch adds a DP solve.
   (void)server.answer_batch(queries, pool, 16, &sink);
   EXPECT_EQ(metrics.counter("serve.queries").value(), 400u);
-  EXPECT_EQ(metrics.counter("serve.cache_hits").value(),
-            hits_after_first + 200u);
+  EXPECT_EQ(metrics.counter("serve.dp_solves").value(), 0u);
+  EXPECT_EQ(server.stats().queries, 400u);
+  EXPECT_EQ(server.stats().dp_solves, 1u);
 }
 
 }  // namespace
