@@ -1,5 +1,6 @@
 #include "clock/rcc.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace daedvfs::clock {
@@ -12,6 +13,17 @@ Rcc::Rcc(ClockConfig boot, SwitchCostParams params)
     throw std::invalid_argument("invalid boot clock config: " + *err);
   }
   if (current_.source == ClockSource::kPll) locked_pll_ = current_.pll;
+}
+
+Rcc& Rcc::operator=(const Rcc& other) {
+  const uint64_t version = std::max(version_, other.version_) + 1;
+  current_ = other.current_;
+  scale_ = other.scale_;
+  locked_pll_ = other.locked_pll_;
+  params_ = other.params_;
+  stats_ = other.stats_;
+  version_ = version;
+  return *this;
 }
 
 SwitchCost apply_switch_policy(const SwitchCostParams& params,
@@ -53,6 +65,7 @@ SwitchCost Rcc::switch_to(const ClockConfig& target) {
   if (cost.total_us == 0.0) return cost;  // no-op switch
 
   current_ = target;
+  ++version_;
   ++stats_.switches;
   if (cost.pll_relocked) ++stats_.pll_relocks;
   if (cost.vos_changed) ++stats_.vos_changes;
@@ -65,6 +78,7 @@ void Rcc::stop_pll() {
     throw std::logic_error("cannot stop the PLL while it drives SYSCLK");
   }
   locked_pll_.reset();
+  ++version_;
 }
 
 }  // namespace daedvfs::clock

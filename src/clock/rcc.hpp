@@ -40,6 +40,11 @@ class Rcc {
   explicit Rcc(ClockConfig boot = ClockConfig::hsi_direct(),
                SwitchCostParams params = {});
 
+  Rcc(const Rcc&) = default;
+  /// Assignment takes the other RCC's state under a version newer than
+  /// both, so a cache keyed on this object's old version() goes stale.
+  Rcc& operator=(const Rcc& other);
+
   /// Switches SYSCLK to `target`, returning the cost charged. Invalid
   /// configurations throw std::invalid_argument.
   SwitchCost switch_to(const ClockConfig& target);
@@ -53,7 +58,10 @@ class Rcc {
   [[nodiscard]] VoltageScale voltage_scale() const { return scale_; }
   /// Pins the regulator scale (the DVFS runtime sets it to the layer's HFO
   /// requirement so intra-layer toggles never wait on the regulator).
-  void pin_voltage_scale(VoltageScale s) { scale_ = s; }
+  void pin_voltage_scale(VoltageScale s) {
+    scale_ = s;
+    ++version_;
+  }
   [[nodiscard]] bool pll_running() const { return locked_pll_.has_value(); }
   [[nodiscard]] const std::optional<PllConfig>& locked_pll() const {
     return locked_pll_;
@@ -61,12 +69,18 @@ class Rcc {
   [[nodiscard]] const RccStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
+  /// Clock-state version: grows on every change of the active config, PLL
+  /// lock or regulator scale (and on assignment), never repeating within one
+  /// object. Callers memoize values derived from the clock state on it.
+  [[nodiscard]] uint64_t version() const { return version_; }
+
  private:
   ClockConfig current_;
   VoltageScale scale_;
   std::optional<PllConfig> locked_pll_;
   SwitchCostParams params_;
   RccStats stats_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace daedvfs::clock

@@ -5,17 +5,26 @@
 
 namespace daedvfs::power {
 
+EnergyMeter::TagId EnergyMeter::intern(const std::string& tag) {
+  const auto [it, inserted] =
+      ids_.try_emplace(tag, static_cast<TagId>(tags_.size()));
+  if (inserted) tags_.push_back({tag});
+  return it->second;
+}
+
 void EnergyMeter::record(double t_begin_us, double t_end_us, double power_mw,
-                         const std::string& tag) {
+                         TagId tag) {
   assert(t_end_us >= t_begin_us);
+  TagSum& sum = tags_.at(tag);
   const double uj = power_mw * (t_end_us - t_begin_us) * 1e-3;  // mW*us -> uJ
   total_uj_ += uj;
-  by_tag_[tag] += uj;
+  sum.uj += uj;
+  sum.recorded = true;
   if (keep_trace_) {
     if (trace_.size() < trace_cap_) {
-      trace_.push_back({t_begin_us, t_end_us, power_mw, tag});
+      trace_.push_back({t_begin_us, t_end_us, power_mw, sum.name});
     } else {
-      trace_[trace_head_] = {t_begin_us, t_end_us, power_mw, tag};
+      trace_[trace_head_] = {t_begin_us, t_end_us, power_mw, sum.name};
       trace_head_ = (trace_head_ + 1) % trace_cap_;
       ++trace_dropped_;
     }
@@ -51,13 +60,24 @@ std::vector<PowerSegment> EnergyMeter::trace() const {
 }
 
 double EnergyMeter::tag_uj(const std::string& tag) const {
-  auto it = by_tag_.find(tag);
-  return it == by_tag_.end() ? 0.0 : it->second;
+  const auto it = ids_.find(tag);
+  return it == ids_.end() ? 0.0 : tags_[it->second].uj;
+}
+
+std::map<std::string, double> EnergyMeter::by_tag() const {
+  std::map<std::string, double> out;
+  for (const TagSum& t : tags_) {
+    if (t.recorded) out.emplace(t.name, t.uj);
+  }
+  return out;
 }
 
 void EnergyMeter::reset() {
   total_uj_ = 0.0;
-  by_tag_.clear();
+  for (TagSum& t : tags_) {
+    t.uj = 0.0;
+    t.recorded = false;
+  }
   trace_.clear();
   trace_head_ = 0;
   trace_dropped_ = 0;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace daedvfs::power {
@@ -23,19 +24,33 @@ struct PowerSegment {
 };
 
 /// Exact, event-driven energy integrator with per-tag attribution.
+///
+/// Tags are interned to dense ids so the per-event path adds into a vector
+/// slot instead of looking a string up. Each tag's energy is still the sum
+/// of its records in recording order, so the per-tag totals are the same
+/// doubles a string-keyed map would hold.
 class EnergyMeter {
  public:
+  using TagId = std::uint32_t;
+
+  /// Returns the id of `tag`, assigning the next dense id on first use. Ids
+  /// stay valid for the meter's lifetime, across reset().
+  [[nodiscard]] TagId intern(const std::string& tag);
+
   /// Records that the board drew `power_mw` from `t_begin_us` to `t_end_us`.
+  /// `tag` must be an id this meter issued (std::out_of_range otherwise).
+  void record(double t_begin_us, double t_end_us, double power_mw, TagId tag);
   void record(double t_begin_us, double t_end_us, double power_mw,
-              const std::string& tag);
+              const std::string& tag) {
+    record(t_begin_us, t_end_us, power_mw, intern(tag));
+  }
 
   /// Total integrated energy in microjoules.
   [[nodiscard]] double total_uj() const { return total_uj_; }
   /// Energy attributed to one tag (0 if unknown).
   [[nodiscard]] double tag_uj(const std::string& tag) const;
-  [[nodiscard]] const std::map<std::string, double>& by_tag() const {
-    return by_tag_;
-  }
+  /// Energy per tag, over the tags recorded since construction or reset().
+  [[nodiscard]] std::map<std::string, double> by_tag() const;
   /// Raw trace (only retained when enabled; off by default to keep long
   /// simulations cheap). Retention is bounded: once the ring holds
   /// `trace_capacity()` segments the oldest are overwritten
@@ -59,11 +74,19 @@ class EnergyMeter {
     return t1_us > t0_us ? total_uj_ / (t1_us - t0_us) * 1000.0 : 0.0;
   }
 
+  /// Zeroes all sums and drops the trace; interned ids stay valid.
   void reset();
 
  private:
+  struct TagSum {
+    std::string name;
+    double uj = 0.0;
+    bool recorded = false;  ///< Recorded since construction or reset().
+  };
+
   double total_uj_ = 0.0;
-  std::map<std::string, double> by_tag_;
+  std::vector<TagSum> tags_;  ///< Indexed by TagId.
+  std::unordered_map<std::string, TagId> ids_;
   bool keep_trace_ = false;
   std::vector<PowerSegment> trace_;
   std::size_t trace_cap_ = kDefaultTraceCapacity;

@@ -1,82 +1,108 @@
 #include "sim/cache.hpp"
 
-#include <cassert>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace daedvfs::sim {
 
+namespace {
+
+[[noreturn]] void bad_geometry(const char* field, const std::string& why) {
+  throw std::invalid_argument(std::string("CacheConfig::") + field + " " +
+                              why);
+}
+
+}  // namespace
+
 CacheSim::CacheSim(CacheConfig cfg) : cfg_(cfg) {
-  assert(cfg_.num_sets() > 0);
-  lines_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
+  if (!std::has_single_bit(cfg_.line_bytes)) {
+    bad_geometry("line_bytes", "must be a non-zero power of two, got " +
+                                   std::to_string(cfg_.line_bytes));
+  }
+  if (cfg_.ways == 0) bad_geometry("ways", "must be non-zero");
+  const uint64_t way_bytes = static_cast<uint64_t>(cfg_.line_bytes) * cfg_.ways;
+  if (cfg_.size_bytes % way_bytes != 0) {
+    bad_geometry("size_bytes", "must be a multiple of line_bytes * ways (" +
+                                   std::to_string(way_bytes) + "), got " +
+                                   std::to_string(cfg_.size_bytes));
+  }
+  const uint64_t sets = cfg_.size_bytes / way_bytes;
+  if (!std::has_single_bit(sets)) {
+    bad_geometry("size_bytes",
+                 "must give a non-zero power-of-two set count, got " +
+                     std::to_string(sets) + " sets");
+  }
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(cfg_.line_bytes));
+  set_shift_ = static_cast<uint32_t>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
+  lines_.resize(static_cast<std::size_t>(sets) * cfg_.ways);
+}
+
+inline void CacheSim::touch_line(uint64_t ln, bool is_write,
+                                 AccessResult& res) {
+  const uint64_t tag = ln >> set_shift_;
+  Line* base = &lines_[static_cast<std::size_t>(ln & set_mask_) * cfg_.ways];
+  ++res.lines;
+
+  Line* victim = &base[0];
+  for (uint32_t w = 0; w < cfg_.ways; ++w) {
+    Line& l = base[w];
+    if (l.valid && l.tag == tag) {
+      ++res.hits;
+      l.lru = ++use_stamp_;
+      l.dirty = l.dirty || is_write;
+      return;
+    }
+    if (!l.valid) {
+      victim = &l;  // prefer an invalid way
+    } else if (victim->valid && l.lru < victim->lru) {
+      victim = &l;
+    }
+  }
+
+  ++res.misses;
+  if (victim->valid && victim->dirty) ++res.writebacks;
+  victim->valid = true;
+  victim->dirty = is_write;  // write-allocate
+  victim->tag = tag;
+  victim->lru = ++use_stamp_;
+}
+
+void CacheSim::add_stats(const AccessResult& res) {
+  stats_.accesses += res.lines;
+  stats_.hits += res.hits;
+  stats_.misses += res.misses;
+  stats_.writebacks += res.writebacks;
 }
 
 AccessResult CacheSim::access(uint64_t vaddr, uint64_t bytes, bool is_write) {
   AccessResult res;
   if (bytes == 0) return res;
-  const uint64_t line = cfg_.line_bytes;
-  const uint64_t first = vaddr / line;
-  const uint64_t last = (vaddr + bytes - 1) / line;
-  for (uint64_t ln = first; ln <= last; ++ln) {
-    const uint32_t set = static_cast<uint32_t>(ln % cfg_.num_sets());
-    const uint64_t tag = ln / cfg_.num_sets();
-    Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
-    ++res.lines;
-    ++stats_.accesses;
-
-    Line* hit = nullptr;
-    Line* victim = &base[0];
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-      Line& l = base[w];
-      if (l.valid && l.tag == tag) {
-        hit = &l;
-        break;
-      }
-      if (!l.valid) {
-        victim = &l;  // prefer an invalid way
-      } else if (victim->valid && l.lru < victim->lru) {
-        victim = &l;
-      }
-    }
-
-    if (hit != nullptr) {
-      ++res.hits;
-      ++stats_.hits;
-      hit->lru = ++use_stamp_;
-      hit->dirty = hit->dirty || is_write;
-      continue;
-    }
-
-    ++res.misses;
-    ++stats_.misses;
-    if (victim->valid && victim->dirty) {
-      ++res.writebacks;
-      ++stats_.writebacks;
-    }
-    victim->valid = true;
-    victim->dirty = is_write;  // write-allocate
-    victim->tag = tag;
-    victim->lru = ++use_stamp_;
+  const uint64_t last = (vaddr + bytes - 1) >> line_shift_;
+  for (uint64_t ln = vaddr >> line_shift_; ln <= last; ++ln) {
+    touch_line(ln, is_write, res);
   }
+  add_stats(res);
   return res;
 }
 
 AccessResult CacheSim::access_strided(uint64_t vaddr, uint64_t stride,
                                       uint32_t count, uint64_t elem_bytes,
                                       bool is_write) {
-  AccessResult total;
+  AccessResult res;
+  if (elem_bytes == 0) return res;
   uint64_t prev_line = ~0ull;
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint64_t a = vaddr + static_cast<uint64_t>(i) * stride;
-    const uint64_t first = a / cfg_.line_bytes;
-    const uint64_t last = (a + elem_bytes - 1) / cfg_.line_bytes;
+  uint64_t a = vaddr;
+  for (uint32_t i = 0; i < count; ++i, a += stride) {
+    const uint64_t first = a >> line_shift_;
+    const uint64_t last = (a + elem_bytes - 1) >> line_shift_;
     if (first == prev_line && last == prev_line) continue;
-    const AccessResult r = access(a, elem_bytes, is_write);
-    total.lines += r.lines;
-    total.hits += r.hits;
-    total.misses += r.misses;
-    total.writebacks += r.writebacks;
+    for (uint64_t ln = first; ln <= last; ++ln) touch_line(ln, is_write, res);
     prev_line = last;
   }
-  return total;
+  add_stats(res);
+  return res;
 }
 
 uint64_t CacheSim::state_fingerprint() const {

@@ -6,6 +6,10 @@
 // performance knob: group buffers that exceed the cache working set start
 // thrashing, which is the paper's observation that "very high buffer size can
 // lead the cache misses to skyrocket".
+//
+// Every access is split into line numbers by shift and mask, so the geometry
+// must be power-of-two in line size and set count; the constructor rejects
+// anything else.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +49,10 @@ struct AccessResult {
 
 class CacheSim {
  public:
+  /// Throws std::invalid_argument naming the offending CacheConfig field
+  /// when `line_bytes` is zero or not a power of two, `ways` is zero,
+  /// `size_bytes` is not a multiple of `line_bytes * ways`, or the set count
+  /// is zero or not a power of two.
   explicit CacheSim(CacheConfig cfg = {});
 
   /// Touches [vaddr, vaddr + bytes); returns per-call hit/miss counts.
@@ -80,7 +88,15 @@ class CacheSim {
     bool dirty = false;
   };
 
+  /// Looks up line number `ln`, filling or refreshing it, and counts the
+  /// outcome into `res`.
+  void touch_line(uint64_t ln, bool is_write, AccessResult& res);
+  void add_stats(const AccessResult& res);
+
   CacheConfig cfg_;
+  uint32_t line_shift_ = 0;  ///< log2(line_bytes): address -> line number.
+  uint32_t set_shift_ = 0;   ///< log2(num_sets): line number -> tag.
+  uint64_t set_mask_ = 0;    ///< num_sets - 1: line number -> set.
   std::vector<Line> lines_;  ///< sets * ways, row-major by set.
   uint64_t use_stamp_ = 0;
   CacheStats stats_;

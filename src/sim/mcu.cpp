@@ -6,13 +6,26 @@ Mcu::Mcu(SimParams params)
     : params_(params),
       rcc_(params.boot, params.switching),
       cache_(params.cache),
-      power_model_(params.power) {}
+      power_model_(params.power) {
+  refresh_clock_memo();
+}
+
+void Mcu::refresh_clock_memo() {
+  const power::PowerState st = power::PowerState::from_rcc(rcc_);
+  memo_.rcc_version = rcc_.version();
+  memo_.sysclk_mhz = rcc_.sysclk_mhz();
+  for (power::Activity act :
+       {power::Activity::kCompute, power::Activity::kMemoryStall,
+        power::Activity::kIdle, power::Activity::kIdleClockGated}) {
+    memo_.power_mw[static_cast<std::size_t>(act)] =
+        power_model_.power_mw(st, act);
+  }
+}
 
 void Mcu::advance(double dt_us, power::Activity act) {
   if (dt_us <= 0.0) return;
-  const power::PowerState st = power::PowerState::from_rcc(rcc_);
-  const double mw = power_model_.power_mw(st, act);
-  meter_.record(time_us_, time_us_ + dt_us, mw, tag_);
+  const double mw = clock_memo().power_mw[static_cast<std::size_t>(act)];
+  meter_.record(time_us_, time_us_ + dt_us, mw, tag_id_);
   time_us_ += dt_us;
 }
 
@@ -20,13 +33,13 @@ void Mcu::compute(double cycles) {
   if (ledger_ != nullptr) {
     ledger_->domain(rcc_.current()).compute_cycles += cycles;
   }
-  advance(cycles_to_us(cycles), power::Activity::kCompute);
+  advance(cycles / clock_memo().sysclk_mhz, power::Activity::kCompute);
 }
 
 void Mcu::mem_access(const MemRef& ref, uint64_t bytes, double issue_words,
                      bool is_write) {
   if (bytes == 0) return;
-  const double f = rcc_.sysclk_mhz();
+  const double f = clock_memo().sysclk_mhz;
   double issue_cycles;
   if (issue_words >= 0.0) {
     issue_cycles = issue_words * (is_write ? params_.cost.cycles_per_store_word
@@ -81,7 +94,7 @@ void Mcu::mem_access_strided(const MemRef& ref, uint64_t stride,
                              uint32_t count, uint64_t elem_bytes,
                              double issue_words, bool is_write) {
   if (count == 0) return;
-  const double f = rcc_.sysclk_mhz();
+  const double f = clock_memo().sysclk_mhz;
   // Default: one LDRB/STRB per element (strided patterns cannot use word
   // loads); callers override for patterns with intra-element word reuse.
   const double issues = issue_words >= 0.0 ? issue_words
@@ -115,7 +128,8 @@ void Mcu::charge_memory(double issue_cycles, double stall_ns) {
     d.charge_issue_cycles += issue_cycles;
     d.charge_stall_ns += stall_ns;
   }
-  const double dt_us = issue_cycles / rcc_.sysclk_mhz() + stall_ns * 1e-3;
+  const double dt_us =
+      issue_cycles / clock_memo().sysclk_mhz + stall_ns * 1e-3;
   advance(dt_us, power::Activity::kMemoryStall);
 }
 

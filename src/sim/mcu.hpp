@@ -8,6 +8,7 @@
 // (DESIGN.md §2). Everything is deterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -137,7 +138,10 @@ class Mcu {
   [[nodiscard]] const SimParams& params() const { return params_; }
 
   /// Attribution tag stamped on subsequent energy records (e.g. "L03/mem").
-  void set_tag(std::string tag) { tag_ = std::move(tag); }
+  void set_tag(std::string tag) {
+    tag_ = std::move(tag);
+    tag_id_ = meter_.intern(tag_);
+  }
   [[nodiscard]] const std::string& tag() const { return tag_; }
 
   /// Attaches a work ledger recording per-clock-domain totals of every
@@ -147,11 +151,23 @@ class Mcu {
   [[nodiscard]] McuSnapshot snapshot() const;
 
  private:
+  /// SYSCLK and the power of each Activity under one RCC state.
+  struct ClockMemo {
+    uint64_t rcc_version = 0;
+    double sysclk_mhz = 0.0;
+    std::array<double, 4> power_mw{};  ///< Indexed by power::Activity.
+  };
+
+  /// The memo for the current RCC state, rebuilt when the RCC has changed
+  /// since the last event.
+  const ClockMemo& clock_memo() {
+    if (memo_.rcc_version != rcc_.version()) refresh_clock_memo();
+    return memo_;
+  }
+  void refresh_clock_memo();
+
   /// Advances time by `dt_us`, charging energy at `act`.
   void advance(double dt_us, power::Activity act);
-  [[nodiscard]] double cycles_to_us(double cycles) const {
-    return cycles / rcc_.sysclk_mhz();
-  }
   void mem_access(const MemRef& ref, uint64_t bytes, double issue_words,
                   bool is_write);
   void mem_access_strided(const MemRef& ref, uint64_t stride, uint32_t count,
@@ -163,8 +179,10 @@ class Mcu {
   CacheSim cache_;
   power::PowerModel power_model_;
   power::EnergyMeter meter_;
+  ClockMemo memo_;
   double time_us_ = 0.0;
   std::string tag_ = "boot";
+  power::EnergyMeter::TagId tag_id_ = meter_.intern(tag_);
   WorkLedger* ledger_ = nullptr;
 };
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/cache.hpp"
 
@@ -150,6 +152,214 @@ TEST(Cache, StatsInvariants) {
   EXPECT_LE(st.writebacks, st.misses);
   EXPECT_GE(st.miss_rate(), 0.0);
   EXPECT_LE(st.miss_rate(), 1.0);
+}
+
+TEST(CacheSim, RejectsBadGeometry) {
+  const auto rejects = [](CacheConfig cfg, const char* field) {
+    try {
+      CacheSim c(cfg);
+      ADD_FAILURE() << "accepted geometry with bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects({16 * 1024, 0, 4}, "line_bytes");
+  rejects({16 * 1024, 48, 4}, "line_bytes");
+  rejects({16 * 1024, 32, 0}, "ways");
+  rejects({16 * 1024 + 32, 32, 4}, "size_bytes");   // not a multiple
+  rejects({0, 32, 4}, "size_bytes");                // zero sets
+  rejects({3 * 32 * 4, 32, 4}, "size_bytes");       // 3 sets
+  rejects({1u << 31, 1u << 31, 4}, "size_bytes");   // line*ways > 2^32
+  EXPECT_NO_THROW(CacheSim({16 * 1024, 32, 4}));
+  EXPECT_NO_THROW(CacheSim({3 * 32 * 128, 32, 3}));  // odd ways are fine
+}
+
+/// The per-element cache model the shift/mask line walk replaced, kept as a
+/// reference: one division per address, one access() per strided element.
+class OracleCache {
+ public:
+  explicit OracleCache(CacheConfig cfg) : cfg_(cfg) {
+    lines_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
+  }
+
+  AccessResult access(uint64_t vaddr, uint64_t bytes, bool is_write) {
+    AccessResult res;
+    if (bytes == 0) return res;
+    const uint64_t line = cfg_.line_bytes;
+    const uint64_t first = vaddr / line;
+    const uint64_t last = (vaddr + bytes - 1) / line;
+    for (uint64_t ln = first; ln <= last; ++ln) {
+      const uint32_t set = static_cast<uint32_t>(ln % cfg_.num_sets());
+      const uint64_t tag = ln / cfg_.num_sets();
+      Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
+      ++res.lines;
+      ++stats_.accesses;
+      Line* hit = nullptr;
+      Line* victim = &base[0];
+      for (uint32_t w = 0; w < cfg_.ways; ++w) {
+        Line& l = base[w];
+        if (l.valid && l.tag == tag) {
+          hit = &l;
+          break;
+        }
+        if (!l.valid) {
+          victim = &l;
+        } else if (victim->valid && l.lru < victim->lru) {
+          victim = &l;
+        }
+      }
+      if (hit != nullptr) {
+        ++res.hits;
+        ++stats_.hits;
+        hit->lru = ++use_stamp_;
+        hit->dirty = hit->dirty || is_write;
+        continue;
+      }
+      ++res.misses;
+      ++stats_.misses;
+      if (victim->valid && victim->dirty) {
+        ++res.writebacks;
+        ++stats_.writebacks;
+      }
+      victim->valid = true;
+      victim->dirty = is_write;
+      victim->tag = tag;
+      victim->lru = ++use_stamp_;
+    }
+    return res;
+  }
+
+  AccessResult access_strided(uint64_t vaddr, uint64_t stride, uint32_t count,
+                              uint64_t elem_bytes, bool is_write) {
+    AccessResult total;
+    uint64_t prev_line = ~0ull;
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint64_t a = vaddr + static_cast<uint64_t>(i) * stride;
+      const uint64_t first = a / cfg_.line_bytes;
+      const uint64_t last = (a + elem_bytes - 1) / cfg_.line_bytes;
+      if (first == prev_line && last == prev_line) continue;
+      const AccessResult r = access(a, elem_bytes, is_write);
+      total.lines += r.lines;
+      total.hits += r.hits;
+      total.misses += r.misses;
+      total.writebacks += r.writebacks;
+      prev_line = last;
+    }
+    return total;
+  }
+
+  [[nodiscard]] uint64_t state_fingerprint() const {
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+      }
+    };
+    for (uint32_t set = 0; set < cfg_.num_sets(); ++set) {
+      const Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
+      for (uint32_t w = 0; w < cfg_.ways; ++w) {
+        const Line& l = base[w];
+        if (!l.valid) {
+          mix(0);
+          continue;
+        }
+        uint64_t rank = 0;
+        for (uint32_t v = 0; v < cfg_.ways; ++v) {
+          if (base[v].valid && base[v].lru < l.lru) ++rank;
+        }
+        mix(1 | (l.dirty ? 2 : 0) | (rank << 2));
+        mix(l.tag);
+      }
+    }
+    return h;
+  }
+
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    uint64_t tag = 0;
+    uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  CacheConfig cfg_;
+  std::vector<Line> lines_;
+  uint64_t use_stamp_ = 0;
+  CacheStats stats_;
+};
+
+/// Drives CacheSim and OracleCache with the same seeded random ops and
+/// checks results, stats and state after every op.
+void expect_matches_oracle(const CacheConfig& cfg) {
+  SCOPED_TRACE(::testing::Message() << cfg.size_bytes << " B / "
+                                    << cfg.line_bytes << " B lines / "
+                                    << cfg.ways << "-way");
+  CacheSim sim(cfg);
+  OracleCache ref(cfg);
+  std::mt19937_64 rng(0x5eed0000u + cfg.size_bytes + cfg.line_bytes +
+                      cfg.ways);
+  const uint64_t line = cfg.line_bytes;
+  // Addresses span 4x the cache so sets see conflicts and evictions.
+  std::uniform_int_distribution<uint64_t> addr(0, 4ull * cfg.size_bytes);
+  std::uniform_int_distribution<int> pick(0, 99);
+  std::uniform_int_distribution<uint64_t> len(0, 3 * line);
+  std::uniform_int_distribution<uint32_t> count(0, 48);
+  const auto random_stride = [&]() -> uint64_t {
+    switch (pick(rng) % 5) {
+      case 0: return 0;
+      case 1: return 1 + rng() % (line - 1);           // < line
+      case 2: return line;                             // = line
+      case 3: return line + 1 + rng() % (3 * line);    // > line
+      default: return cfg.size_bytes / cfg.ways;       // same-set stride
+    }
+  };
+  const auto random_elem = [&]() -> uint64_t {
+    switch (pick(rng) % 4) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return 4;
+      default: return 1 + rng() % (2 * line);  // may straddle a line
+    }
+  };
+
+  constexpr int kOps = 10000;
+  for (int op = 0; op < kOps; ++op) {
+    const bool is_write = pick(rng) < 35;
+    const uint64_t a = addr(rng);
+    AccessResult got;
+    AccessResult want;
+    if (pick(rng) < 40) {
+      const uint64_t bytes = len(rng);
+      got = sim.access(a, bytes, is_write);
+      want = ref.access(a, bytes, is_write);
+    } else {
+      const uint64_t stride = random_stride();
+      const uint32_t n = count(rng);
+      const uint64_t elem = random_elem();
+      got = sim.access_strided(a, stride, n, elem, is_write);
+      want = ref.access_strided(a, stride, n, elem, is_write);
+    }
+    ASSERT_EQ(got.lines, want.lines) << "op " << op;
+    ASSERT_EQ(got.hits, want.hits) << "op " << op;
+    ASSERT_EQ(got.misses, want.misses) << "op " << op;
+    ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+    ASSERT_EQ(sim.stats().accesses, ref.stats().accesses) << "op " << op;
+    ASSERT_EQ(sim.stats().hits, ref.stats().hits) << "op " << op;
+    ASSERT_EQ(sim.stats().misses, ref.stats().misses) << "op " << op;
+    ASSERT_EQ(sim.stats().writebacks, ref.stats().writebacks) << "op " << op;
+    ASSERT_EQ(sim.state_fingerprint(), ref.state_fingerprint())
+        << "op " << op;
+  }
+  EXPECT_GT(sim.stats().writebacks, 0u);
+  EXPECT_GT(sim.stats().hits, 0u);
+}
+
+TEST(CacheSim, MatchesPerElementOracle) {
+  expect_matches_oracle({});  // the default 16 KB / 32 B / 4-way
+  expect_matches_oracle({8 * 1024, 64, 2});
+  expect_matches_oracle({32 * 1024, 32, 8});
 }
 
 }  // namespace

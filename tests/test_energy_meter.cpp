@@ -1,6 +1,12 @@
 // Unit tests for the event-driven energy meter and the INA219-style sampler.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "power/energy_meter.hpp"
 
 namespace daedvfs::power {
@@ -79,6 +85,83 @@ TEST(EnergyMeter, ShrinkingCapacityKeepsNewestSegments) {
   EXPECT_EQ(m.trace_capacity(), 1u);
   ASSERT_EQ(m.trace().size(), 1u);
   EXPECT_DOUBLE_EQ(m.trace()[0].t_begin_us, 50.0);
+}
+
+TEST(EnergyMeter, InternedTagsMatchStringKeyedSums) {
+  EnergyMeter m;
+  const std::vector<std::string> names = {"L0/cmp", "L0/mem", "idle",
+                                          "L1/cmp", "L1/mem"};
+  std::vector<EnergyMeter::TagId> ids;
+  for (const std::string& n : names) ids.push_back(m.intern(n));
+  std::map<std::string, double> ref;
+  double ref_total = 0.0;
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> mw(5.0, 250.0);
+  std::uniform_real_distribution<double> dt(0.01, 40.0);
+  double t = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t k = rng() % names.size();
+    const double p = mw(rng);
+    const double t1 = t + dt(rng);
+    // Interleave both overloads; they must share one accumulator per tag.
+    if (i % 3 == 0) {
+      m.record(t, t1, p, names[k]);
+    } else {
+      m.record(t, t1, p, ids[k]);
+    }
+    const double uj = p * (t1 - t) * 1e-3;
+    ref[names[k]] += uj;
+    ref_total += uj;
+    t = t1;
+  }
+  EXPECT_EQ(m.total_uj(), ref_total);
+  EXPECT_EQ(m.by_tag(), ref);
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    EXPECT_EQ(m.tag_uj(names[k]), ref[names[k]]) << names[k];
+    EXPECT_EQ(m.intern(names[k]), ids[k]);
+  }
+}
+
+TEST(EnergyMeter, ResetKeepsInternedIds) {
+  EnergyMeter m;
+  const EnergyMeter::TagId a = m.intern("a");
+  const EnergyMeter::TagId b = m.intern("b");
+  m.record(0.0, 10.0, 3.0, a);
+  m.record(10.0, 20.0, 4.0, b);
+  m.reset();
+  EXPECT_EQ(m.total_uj(), 0.0);
+  EXPECT_EQ(m.tag_uj("a"), 0.0);
+  EXPECT_EQ(m.tag_uj("b"), 0.0);
+  EXPECT_TRUE(m.by_tag().empty());
+  // Interned before the reset, still valid after it.
+  EXPECT_EQ(m.intern("a"), a);
+  m.record(20.0, 30.0, 2.0, b);
+  EXPECT_EQ(m.tag_uj("b"), 2.0 * 10.0 * 1e-3);
+  EXPECT_EQ(m.by_tag(), (std::map<std::string, double>{{"b", 2.0 * 10.0 * 1e-3}}));
+  // A tag recorded with zero energy is listed, as a string-keyed map would.
+  m.record(30.0, 30.0, 9.0, a);
+  EXPECT_EQ(m.by_tag().size(), 2u);
+}
+
+TEST(EnergyMeter, TraceSegmentsCarryStringTag) {
+  EnergyMeter m;
+  m.keep_trace(true);
+  const EnergyMeter::TagId cmp = m.intern("L3/cmp");
+  m.record(0.0, 1.0, 1.0, cmp);
+  m.record(1.0, 2.0, 1.0, "L3/mem");
+  m.record(2.0, 3.0, 1.0, cmp);
+  const auto tr = m.trace();
+  ASSERT_EQ(tr.size(), 3u);
+  EXPECT_EQ(tr[0].tag, "L3/cmp");
+  EXPECT_EQ(tr[1].tag, "L3/mem");
+  EXPECT_EQ(tr[2].tag, "L3/cmp");
+}
+
+TEST(EnergyMeter, RejectsUnissuedTagId) {
+  EnergyMeter m;
+  const EnergyMeter::TagId a = m.intern("a");
+  EXPECT_THROW(m.record(0.0, 1.0, 1.0, a + 1), std::out_of_range);
+  EXPECT_EQ(m.total_uj(), 0.0);
 }
 
 TEST(EnergyMeter, ResetClearsEverything) {

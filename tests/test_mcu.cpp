@@ -137,6 +137,57 @@ TEST(Mcu, SnapshotDiffsAreConsistent) {
   EXPECT_EQ(b.cache.misses - a.cache.misses, 128u);
 }
 
+TEST(Mcu, PowerMemoFollowsEveryRccMutation) {
+  Mcu mcu(params_at(kHfo216));
+  mcu.meter().keep_trace(true);
+  const power::PowerModel& pm = mcu.power_model();
+  int probe = 0;
+  double prev_compute_mw = 0.0;
+  // Each event runs under a fresh tag, so its tag sum is the one record's
+  // energy and can be compared bit for bit.
+  const auto expect_fresh_power = [&](const char* after) {
+    SCOPED_TRACE(after);
+    const power::PowerState st = power::PowerState::from_rcc(mcu.rcc());
+    const auto check = [&](power::Activity act, auto&& event) {
+      const std::string tag = "probe-" + std::to_string(probe++);
+      mcu.set_tag(tag);
+      const double t0 = mcu.time_us();
+      event();
+      const double t1 = mcu.time_us();
+      const double mw = pm.power_mw(st, act);
+      EXPECT_EQ(mcu.meter().trace().back().power_mw, mw) << to_string(act);
+      EXPECT_EQ(mcu.meter().tag_uj(tag), mw * (t1 - t0) * 1e-3)
+          << to_string(act);
+    };
+    check(power::Activity::kCompute, [&] { mcu.compute(5000.0); });
+    // Every mutation below changes the compute power, so a stale memo
+    // cannot pass by accident.
+    const double compute_mw = pm.power_mw(st, power::Activity::kCompute);
+    EXPECT_NE(compute_mw, prev_compute_mw);
+    prev_compute_mw = compute_mw;
+    check(power::Activity::kIdle, [&] { mcu.idle_for(7.0, false); });
+    check(power::Activity::kIdleClockGated, [&] { mcu.idle_for(3.0, true); });
+  };
+
+  expect_fresh_power("boot");
+  // A freshly built RCC has the same version count as the Mcu's own at boot;
+  // assigning it must still invalidate the memo.
+  mcu.rcc() = clock::Rcc(kHfo108);
+  expect_fresh_power("assign Rcc(HFO 108)");
+  mcu.rcc().switch_to(kLfo);
+  expect_fresh_power("switch_to LFO (PLL still locked)");
+  mcu.rcc().stop_pll();
+  expect_fresh_power("stop_pll");
+  mcu.rcc().pin_voltage_scale(clock::VoltageScale::kScale1);
+  expect_fresh_power("pin_voltage_scale(Scale1)");
+  clock::Rcc other(kHfo216);
+  other.switch_to(kLfo);
+  mcu.rcc() = other;
+  expect_fresh_power("assign a switched Rcc");
+  mcu.rcc().switch_to(kHfo216);
+  expect_fresh_power("switch_to HFO 216");
+}
+
 TEST(Mcu, DeterministicAcrossRuns) {
   auto run = [] {
     Mcu mcu(params_at(kHfo216));
